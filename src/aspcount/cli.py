@@ -31,11 +31,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--stats", choices=["json", "none"], default="none")
     common.add_argument("--no-cache", action="store_true")
-    common.add_argument("--cache-limit-mb", type=int, default=1024)
+    common.add_argument("--cache-limit-mb", type=_non_negative_int, default=1024)
     common.add_argument("--seed", type=int, default=None)
 
     parser = _Parser(prog="aspcount", description=__doc__)

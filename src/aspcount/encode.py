@@ -18,7 +18,6 @@ atom from justifying itself, so they must not be simplified away.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,9 +60,6 @@ class VarTable:
     def __len__(self):
         return len(self.infos)
 
-    def kind(self, v: int) -> VarKind:
-        return self.infos[v].kind
-
     def aux_for_body(self, pos: frozenset, neg: frozenset, rule_idx: int) -> int:
         key = (pos, neg)
         got = self._aux_by_body.get(key)
@@ -105,9 +101,6 @@ class Cnf:
         self._seen.add(clause)
         self.clauses.append(clause)
         return True
-
-    def variables(self) -> set[int]:
-        return {var_of(l) for c in self.clauses for l in c}
 
     def __len__(self):
         return len(self.clauses)
@@ -250,13 +243,3 @@ def emit_dimacs(pair: PairFormula) -> str:
         out.append(" ".join(map(str, c)) + " 0")
     return "\n".join(out) + "\n"
 
-
-def cache_key_bytes(variables, residual_clauses) -> bytes:
-    """Exact canonical byte key: sorted variable ids, then each surviving
-    clause's literals. Equal keys imply identical residual subformulas."""
-    flat = [len(variables)]
-    flat.extend(variables)
-    for clause in residual_clauses:
-        flat.append(len(clause))
-        flat.extend(clause)
-    return array("i", flat).tobytes()

@@ -1,9 +1,19 @@
 """Component-caching counter over the conjoined completion and copy clauses.
 
 Search skeleton: decide an unassigned non-copy variable, propagate each
-branch to fixpoint (two watched literals over the combined clause list),
-split the surviving clauses into variable-disjoint components, count each
-component through an exact-key LRU cache, multiply, and sum the branches.
+branch to fixpoint (two watched literals over mutable copies of the
+clauses), split the parent component's unsatisfied clauses into
+variable-disjoint components, count each component through an exact-key
+LRU cache, multiply, and sum the branches.
+
+A component is (vars, clause ids): its sorted unassigned variables and the
+ascending ids of its unsatisfied clauses. `decompose` finds components by
+walking per-variable occurrence lists over the immutable canonical clauses,
+restricted to the parent's clause ids. The cache key is that pair, and it
+is exact: a surviving clause is unsatisfied and all its assigned literals
+are false, so its residual is exactly its canonical literals restricted to
+the component's variables; equal keys therefore mean identical residual
+subformulas over identically-flagged variables.
 
 Copy variables are propagated but never decided and never enumerated:
 a component whose unassigned variables are all copies counts 0 (a loop
@@ -15,11 +25,12 @@ from __future__ import annotations
 
 import sys
 import time
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .encode import PairFormula, VarKind, cache_key_bytes
+from .encode import PairFormula, VarKind
 from .errors import ResourceLimitError
 
 DEFAULT_CACHE_LIMIT = 1 << 30  # 1 GiB
@@ -56,8 +67,13 @@ class Exceeded:
 
 class Component(NamedTuple):
     vars: tuple[int, ...]  # sorted, all unassigned at creation
-    clause_idxs: tuple[int, ...]  # surviving clauses, ascending
-    residual: tuple[tuple[int, ...], ...]  # surviving literals, canonical order
+    clause_idxs: tuple[int, ...]  # unsatisfied clauses over vars, ascending
+
+
+def cache_key_bytes(variables, clause_idxs) -> bytes:
+    """Exact component key: the variable count, the sorted variable ids,
+    then the ascending clause ids (see the module docstring for why)."""
+    return array("i", (len(variables), *variables, *clause_idxs)).tobytes()
 
 
 class _LimitHit(Exception):
@@ -79,12 +95,13 @@ class Engine:
         self.pair = pair
         self.n_vars = pair.n_vars
         self.is_copy = [info.kind is VarKind.COPY for info in pair.vars.infos]
-        self.clauses = [list(c) for c in pair.completion] + [
-            list(c) for c in pair.copy_clauses
-        ]
+        # canonical tuples for scanning; propagate swaps literals in the
+        # mutable lists to keep its two watches in front
+        self.canon = pair.completion.clauses + pair.copy_clauses.clauses
+        self.clauses = [list(c) for c in self.canon]
         self.g_start = len(pair.completion)
-        self._has_empty_clause = any(not c for c in self.clauses)
-        self._unit_lits = [c[0] for c in self.clauses if len(c) == 1]
+        self._has_empty_clause = any(not c for c in self.canon)
+        self._unit_lits = [c[0] for c in self.canon if len(c) == 1]
         self.watches: list[list[int]] = [[] for _ in range(2 * self.n_vars + 1)]
         for ci, c in enumerate(self.clauses):
             if len(c) >= 2:
@@ -100,11 +117,17 @@ class Engine:
             self.rng = random.Random(seed)
         self.budget = budget
         self._deadline: float | None = None
+        # decompose's occurrence lists, literal pairs and stamp arrays; built
+        # by its first call, so that enumeration and set-up never pay for them
+        self._occ: list[list[int]] | None = None
+        self._lit_pairs: list[tuple[tuple[int, int], ...]] = []
+        self._clause_mark: list[int] = []
+        self._var_mark: list[int] = []
+        self._stamp = 0
 
         self.values = [-1] * self.n_vars
         self.trail: list[int] = []
         self.qhead = 0
-        self.decision_log: list[int] = []
         self.stats = RunStats()
         self._cache: OrderedDict[bytes, int] = OrderedDict()
         self._cache_bytes = 0
@@ -117,7 +140,6 @@ class Engine:
         self.values = [-1] * self.n_vars
         self.trail = []
         self.qhead = 0
-        self.decision_log = []
         self.stats = RunStats()
         self._cache = OrderedDict()
         self._cache_bytes = 0
@@ -133,14 +155,9 @@ class Engine:
         self.trail.append(lit)
         if decision:
             self.stats.decisions += 1
-            self.decision_log.append(v)
         else:
             self.stats.propagations += 1
         return True
-
-    def value_of(self, v: int) -> int:
-        """-1 unassigned, else 0/1."""
-        return self.values[v]
 
     def propagate(self) -> int | None:
         """Unit propagation to fixpoint; returns a falsified clause index or None."""
@@ -215,72 +232,73 @@ class Engine:
     # -- decomposition & branching -----------------------------------------
 
     def decompose(self, variables, clause_idxs) -> list[Component]:
-        """Variable-disjoint components of the surviving clauses; unassigned
-        variables touching no surviving clause come back as free singletons."""
+        """Variable-disjoint components of the unsatisfied clauses among
+        `clause_idxs`, in ascending order of their smallest variable.
+        Unassigned variables in no such clause come back as free singletons.
+        Needs a conflict-free propagation fixpoint: every unsatisfied clause
+        then has an unassigned variable, from which the walk reaches it."""
+        occ = self._occ
+        if occ is None:
+            occ = self._build_occurrences()
+        lit_pairs = self._lit_pairs
         values = self.values
-        clauses = self.clauses
-        parent: dict[int, int] = {}
-
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        survivors: list[tuple[int, tuple[int, ...]]] = []
+        cmark = self._clause_mark
+        vmark = self._var_mark
+        self._stamp += 2
+        live = self._stamp  # clause of the parent, not yet checked
+        seen = live + 1  # clause checked, or variable reached
         for ci in clause_idxs:
-            sat = False
-            free = []
-            for l in clauses[ci]:
-                val = values[abs(l) - 1]
-                if val == -1:
-                    free.append(l)
-                elif val == (1 if l > 0 else 0):
-                    sat = True
-                    break
-            if sat:
-                continue
-            assert free, "decompose called on an unpropagated conflict"
-            vs = [abs(l) - 1 for l in free]
-            for v in vs:
-                parent.setdefault(v, v)
-            r0 = find(vs[0])
-            for v in vs[1:]:
-                r = find(v)
-                if r != r0:
-                    parent[r] = r0
-            survivors.append((ci, tuple(sorted(free, key=lambda l: (abs(l), l > 0)))))
-
-        by_root: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        for ci, lits in survivors:
-            by_root.setdefault(find(abs(lits[0]) - 1), []).append((ci, lits))
-        root_vars: dict[int, list[int]] = {}
-        for v in parent:
-            root_vars.setdefault(find(v), []).append(v)
-
+            cmark[ci] = live
         comps = []
-        for root, entries in by_root.items():
-            comps.append(
-                Component(
-                    tuple(sorted(root_vars[root])),
-                    tuple(ci for ci, _ in entries),
-                    tuple(sorted(lits for _, lits in entries)),
-                )
-            )
         for v in variables:
-            if values[v] == -1 and v not in parent:
-                comps.append(Component((v,), (), ()))
-        comps.sort(key=lambda c: c.vars[0])
+            if values[v] != -1 or vmark[v] == seen:
+                continue
+            vmark[v] = seen
+            cvars = [v]
+            cids = []
+            for u in cvars:  # grows while the walk reaches new variables
+                for ci in occ[u]:
+                    if cmark[ci] != live:
+                        continue
+                    cmark[ci] = seen
+                    pairs = lit_pairs[ci]
+                    for w, true_val in pairs:
+                        if values[w] == true_val:
+                            break  # satisfied
+                    else:
+                        cids.append(ci)
+                        for w, _ in pairs:
+                            if vmark[w] != seen and values[w] == -1:
+                                vmark[w] = seen
+                                cvars.append(w)
+            cvars.sort()
+            cids.sort()
+            comps.append(Component(tuple(cvars), tuple(cids)))
         return comps
 
+    def _build_occurrences(self) -> list[list[int]]:
+        # (variable, value that makes the literal true) per canonical literal
+        self._lit_pairs = [
+            tuple((abs(l) - 1, 1 if l > 0 else 0) for l in c) for c in self.canon
+        ]
+        occ: list[list[int]] = [[] for _ in range(self.n_vars)]
+        for ci, pairs in enumerate(self._lit_pairs):
+            for w, _ in pairs:
+                occ[w].append(ci)
+        self._occ = occ
+        self._clause_mark = [0] * len(self.canon)
+        self._var_mark = [0] * self.n_vars
+        return occ
+
     def decide(self, comp: Component) -> int | None:
-        """Unassigned non-copy variable with the most surviving-clause
-        occurrences; ties go to the smallest index (or the seeded rng)."""
+        """Unassigned non-copy variable with the most occurrences in the
+        component's clauses; ties go to the smallest index (or the seeded
+        rng). Assigned variables are skipped, so only the clauses' residual
+        literals count."""
+        canon = self.canon
         scores: dict[int, int] = {}
-        for lits in comp.residual:
-            for l in lits:
+        for ci in comp.clause_idxs:
+            for l in canon[ci]:
                 v = abs(l) - 1
                 scores[v] = scores.get(v, 0) + 1
         best = None
@@ -305,13 +323,17 @@ class Engine:
     # -- counting ------------------------------------------------------------
 
     def count(self, assumptions=()) -> tuple[int, RunStats]:
-        """Exact answer-set count. Resets search state (cache included)."""
-        self._ensure_deadline()
+        """Exact answer-set count. Resets search state (cache included); the
+        time budget runs from this call."""
+        self._arm_deadline()
+        return self._count(assumptions)
+
+    def _count(self, assumptions=()) -> tuple[int, RunStats]:
         self.reset()
         if not self._apply_initial(assumptions):
             return 0, self._finalize()
         total = 1
-        for comp in self.decompose(range(self.n_vars), range(len(self.clauses))):
+        for comp in self.decompose(range(self.n_vars), range(len(self.canon))):
             total *= self._cached_count(comp)
             if total == 0:
                 break
@@ -321,8 +343,8 @@ class Engine:
         self.stats.cache_entries = len(self._cache)
         return self.stats
 
-    def _ensure_deadline(self):
-        if self.budget is not None and self._deadline is None:
+    def _arm_deadline(self):
+        if self.budget is not None:
             self._deadline = time.perf_counter() + self.budget
 
     def _check_deadline(self):
@@ -332,7 +354,7 @@ class Engine:
     def _cached_count(self, comp: Component) -> int:
         if not self.use_cache:
             return self._count_component(comp)
-        key = cache_key_bytes(comp.vars, comp.residual)
+        key = cache_key_bytes(comp.vars, comp.clause_idxs)
         self.stats.cache_lookups += 1
         cache = self._cache
         got = cache.get(key)
@@ -356,11 +378,11 @@ class Engine:
         return val
 
     def _count_component(self, comp: Component) -> int:
-        # a falsified clause can never appear in comp.residual: components
+        # a falsified clause can never be in comp.clause_idxs: components
         # are built only after a conflict-free propagation fixpoint, so the
         # empty-clause base case surfaces as a conflict in the branch loop
         self._check_deadline()
-        if not comp.residual:
+        if not comp.clause_idxs:
             # all clauses satisfied: free variables enumerate freely,
             # except copies, whose value never distinguishes answer sets
             return 1 << sum(1 for v in comp.vars if not self.is_copy[v])
@@ -386,10 +408,14 @@ class Engine:
 
     def enumerate_up_to(self, limit: int):
         """Depth-first enumeration over non-copy variables, no caching and
-        no component product. Exceeded(elapsed) once `limit` is passed."""
+        no component product. Exceeded(elapsed) once `limit` is passed. The
+        time budget runs from this call."""
+        self._arm_deadline()
+        return self._enumerate(limit)
+
+    def _enumerate(self, limit: int):
         if limit < 1:
             raise ValueError("limit must be >= 1")
-        self._ensure_deadline()
         self.reset()
         t0 = time.perf_counter()
         if not self._apply_initial():
@@ -440,15 +466,16 @@ class Engine:
         return ExactCount(found)
 
     def hybrid(self, threshold: int = DEFAULT_ENUM_THRESHOLD) -> tuple[int, RunStats]:
-        """Enumerate up to `threshold` answer sets; fall back to counting."""
-        self._ensure_deadline()
-        result = self.enumerate_up_to(threshold)
+        """Enumerate up to `threshold` answer sets; fall back to counting.
+        One time budget, run from this call, covers both phases."""
+        self._arm_deadline()
+        result = self._enumerate(threshold)
         if isinstance(result, ExactCount):
             stats = self._finalize()
             stats.path = "enumeration"
             return result.count, stats
         enum_stats = replace(self.stats)
-        n, stats = self.count()
+        n, stats = self._count()
         stats.decisions += enum_stats.decisions
         stats.propagations += enum_stats.propagations
         stats.bcp_time += enum_stats.bcp_time

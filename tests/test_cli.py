@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aspcount
 from aspcount.cli import run
 
 from helpers import EXAMPLE1
@@ -157,6 +162,22 @@ def test_missing_file_exit_code(capsys):
 def test_usage_error_exit_code(capsys):
     assert run(["count"]) == 1
     assert run(["frobnicate"]) == 1
+
+
+def test_negative_cache_limit_is_usage_error(example1, capsys):
+    assert run(["count", example1, "--cache-limit-mb", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("usage error")
+
+
+def test_python_dash_m(example1):
+    src = str(Path(aspcount.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "aspcount", "count", example1],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "2\n")
 
 
 def test_no_cache_flag(example1, capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -35,10 +36,10 @@ def test_propagate_example1_after_b():
     a, b, c, d, e = range(5)
     assert eng.assign(pos_lit(b))
     assert eng.propagate() is None
-    assert eng.value_of(a) == 0
-    assert eng.value_of(e) == 0
-    assert eng.value_of(c) == -1
-    assert eng.value_of(d) == -1
+    assert eng.values[a] == 0
+    assert eng.values[e] == 0
+    assert eng.values[c] == -1
+    assert eng.values[d] == -1
 
 
 def test_propagate_detects_false_unit():
@@ -63,7 +64,7 @@ def test_full_assignment_leaves_copy_component():
         comp for comp in comps if all(v in pair.copy_vars for v in comp.vars)
     ]
     assert len(copy_comps) == 1
-    assert copy_comps[0].residual  # the cyclic support survives
+    assert copy_comps[0].clause_idxs  # the cyclic support survives
     assert eng._count_component(copy_comps[0]) == 0
 
 
@@ -94,15 +95,15 @@ def test_decide_none_on_copy_only_component():
     pair = build_pair(p)
     eng = Engine(pair)
     cp = sorted(pair.copy_vars)
-    comp = Component(tuple(cp), (), ((pos_lit(cp[0]), pos_lit(cp[1])),))
-    assert eng.decide(comp) is None
+    copy_clauses = tuple(range(eng.g_start, len(eng.canon)))
+    assert eng.decide(Component(tuple(cp), copy_clauses)) is None
 
 
 def test_decide_none_on_empty_component():
     from aspcount.engine import Component
 
     eng = Engine(_pair("a."))
-    assert eng.decide(Component((), (), ())) is None
+    assert eng.decide(Component((), ())) is None
 
 
 def test_decompose_disjoint_copies():
@@ -206,14 +207,33 @@ def test_cache_hits_on_duplicated_disjoint_gadget():
     assert stats.cache_hits <= stats.cache_lookups
 
 
-def test_no_decisions_on_copy_vars():
+def test_cache_key_tells_apart_components_with_equal_vars():
+    # the x/y/z/w component has the same variables whichever way a/b goes,
+    # but its clause `:- x, z, a.` survives only while a holds
+    p = parse_program(
+        "a :- not b.\nb :- not a.\nx :- not y.\ny :- not x.\n"
+        "z :- not w.\nw :- not z.\n:- x, z, a.\n:- y, w.\n"
+    )
+    assert count(build_pair(p))[0] == brute_force_count(p) == 5
+
+
+def test_no_decisions_on_copy_vars(monkeypatch):
+    decided = []
+    real_decide = Engine.decide
+
+    def spy(self, comp):
+        v = real_decide(self, comp)
+        decided.append(v)
+        return v
+
+    monkeypatch.setattr(Engine, "decide", spy)
     rng = random.Random(71)
     for _ in range(60):
         p = random_program(rng)
         pair = build_pair(p)
-        eng = Engine(pair)
-        eng.count()
-        assert not (set(eng.decision_log) & pair.copy_vars)
+        Engine(pair).count()
+        assert not (set(decided) & pair.copy_vars)
+        decided.clear()
 
 
 def test_conjunction_soundness():
@@ -321,6 +341,32 @@ def test_budget_exhaustion():
     with pytest.raises(ResourceLimitError) as err:
         Engine(pair, budget=0.0).count()
     assert err.value.stats is not None
+
+
+def test_budget_runs_from_each_call():
+    eng = Engine(build_pair(gen_choice_chain(4)), budget=0.1)
+    assert eng.count()[0] == 16
+    time.sleep(0.15)
+    assert eng.count()[0] == 16
+    time.sleep(0.15)
+    assert eng.enumerate_up_to(100) == ExactCount(16)
+    time.sleep(0.15)
+    assert eng.hybrid(threshold=2)[0] == 16
+
+
+def test_hybrid_shares_one_deadline(monkeypatch):
+    eng = Engine(build_pair(gen_choice_chain(4)), budget=60.0)
+    seen = []
+    real_check = Engine._check_deadline
+
+    def spy(self):
+        seen.append(self._deadline)
+        real_check(self)
+
+    monkeypatch.setattr(Engine, "_check_deadline", spy)
+    n, stats = eng.hybrid(threshold=2)
+    assert (n, stats.path) == (16, "counting")
+    assert stats.cache_lookups > 0 and len(set(seen)) == 1
 
 
 def test_cache_entry_cap():
