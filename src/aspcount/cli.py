@@ -38,6 +38,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also rejects nan, which compares false with everything
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--stats", choices=["json", "none"], default="none")
@@ -58,7 +65,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("hybrid", parents=[common], help="enumerate, fall back to counting")
     p.add_argument("file")
     p.add_argument("--threshold", type=int, default=DEFAULT_ENUM_THRESHOLD)
-    p.add_argument("--budget", type=float, default=None, help="total seconds")
+    p.add_argument("--budget", type=_non_negative_float, default=None, help="total seconds")
 
     p = sub.add_parser("translate", parents=[common], help="emit annotated DIMACS")
     p.add_argument("file")
@@ -66,7 +73,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force count (small programs)")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=DEFAULT_ATOM_CAP)
+    p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ATOM_CAP)
 
     p = sub.add_parser("analyze", parents=[common], help="tightness and loop atoms")
     p.add_argument("file")
@@ -95,12 +102,13 @@ def _write_out(text: str, output: str | None):
         Path(output).write_text(text)
 
 
-def _report(args, mode, answer_count, stats: RunStats, wall, program, pair):
+def _report(args, answer_count, stats: RunStats, wall, program, pair):
     if args.stats != "json":
         return
+    copy_vars = pair.copy_vars
     doc = {
-        "mode": mode,
-        "answer_count": answer_count if isinstance(answer_count, str) else str(answer_count),
+        "mode": args.cmd,
+        "answer_count": str(answer_count),
         "decisions": stats.decisions,
         "propagations": stats.propagations,
         "bcp_seconds": stats.bcp_time,
@@ -109,11 +117,11 @@ def _report(args, mode, answer_count, stats: RunStats, wall, program, pair):
         "cache_hit_pct": stats.cache_hit_pct,
         "cache_entries": stats.cache_entries,
         "wall_seconds": wall,
-        "tight": not pair.copy_vars,
+        "tight": not copy_vars,
         "n_atoms": program.n_atoms,
         "n_rules": len(program.rules),
-        "n_loop_atoms": len(pair.copy_vars),
-        "n_copy_vars": len(pair.copy_vars),
+        "n_loop_atoms": len(copy_vars),
+        "n_copy_vars": len(copy_vars),
         "n_clauses_f": len(pair.completion),
         "n_clauses_g": len(pair.copy_clauses),
     }
@@ -134,51 +142,29 @@ def _load(path: str):
     return parse_program(Path(path).read_text())
 
 
-def _cmd_count(args) -> int:
-    program = _load(args.file)
-    pair = build_pair(program)
-    engine = _engine(args, pair)
-    t0 = time.perf_counter()
-    try:
-        n, stats = engine.count()
-    except ResourceLimitError as e:
-        _report(args, "count", "exceeded", e.stats or RunStats(), time.perf_counter() - t0, program, pair)
-        print(str(e), file=sys.stderr)
-        return 2
-    print(n)
-    _report(args, "count", n, stats, time.perf_counter() - t0, program, pair)
-    return 0
-
-
-def _cmd_enumerate(args) -> int:
-    program = _load(args.file)
-    pair = build_pair(program)
-    engine = _engine(args, pair)
-    t0 = time.perf_counter()
+def _solve(args, engine: Engine):
+    """(answer count or "exceeded", stats) of the engine call for args.cmd."""
+    if args.cmd == "count":
+        return engine.count()
+    if args.cmd == "hybrid":
+        return engine.hybrid(args.threshold)
     result = engine.enumerate_up_to(args.limit)
-    wall = time.perf_counter() - t0
-    if isinstance(result, ExactCount):
-        print(result.count)
-        _report(args, "enumerate", result.count, engine.stats, wall, program, pair)
-    else:
-        print("exceeded")
-        _report(args, "enumerate", "exceeded", engine.stats, wall, program, pair)
-    return 0
+    return (result.count if isinstance(result, ExactCount) else "exceeded"), engine.stats
 
 
-def _cmd_hybrid(args) -> int:
+def _cmd_solve(args) -> int:
+    """count / enumerate / hybrid; wall_seconds runs from before the file is read."""
+    t0 = time.perf_counter()
     program = _load(args.file)
     pair = build_pair(program)
-    engine = _engine(args, pair)
-    t0 = time.perf_counter()
     try:
-        n, stats = engine.hybrid(args.threshold)
+        n, stats = _solve(args, _engine(args, pair))
     except ResourceLimitError as e:
-        _report(args, "hybrid", "exceeded", e.stats or RunStats(), time.perf_counter() - t0, program, pair)
+        _report(args, "exceeded", e.stats or RunStats(), time.perf_counter() - t0, program, pair)
         print(str(e), file=sys.stderr)
         return 2
     print(n)
-    _report(args, "hybrid", n, stats, time.perf_counter() - t0, program, pair)
+    _report(args, n, stats, time.perf_counter() - t0, program, pair)
     return 0
 
 
@@ -228,9 +214,9 @@ def _cmd_gen(args) -> int:
 
 
 _DISPATCH = {
-    "count": _cmd_count,
-    "enumerate": _cmd_enumerate,
-    "hybrid": _cmd_hybrid,
+    "count": _cmd_solve,
+    "enumerate": _cmd_solve,
+    "hybrid": _cmd_solve,
     "translate": _cmd_translate,
     "oracle": _cmd_oracle,
     "analyze": _cmd_analyze,

@@ -13,16 +13,28 @@ Identifiers match [a-zA-Z_][a-zA-Z0-9_]*; whitespace between tokens is
 insignificant; `not` is reserved. Parenthesized arguments are opaque: the
 whole token "edge(1,2)" is one atom symbol, with no term structure.
 Duplicate statements are dropped (a program is a set of rules).
+
+Tokens are read lazily, one match of a single compiled pattern from the
+current offset, so a grammar error is reported ahead of any bad character
+that follows it.
+Each token carries only its offset; the line and column of a ParseDiagnostic
+are computed from that offset when an error is raised.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .program import Constraint, Program, Rule, SymbolTable, format_constraint, format_rule
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+# Skips whitespace and whole comments, then matches one token or nothing (at
+# end of input or an offending character, both at m.end()). The lookahead
+# keeps a backtrack from giving back part of a comment.
+_TOKEN = re.compile(
+    r"(?:\s+|%[^\n]*(?![^\n]))*"
+    r"(?:(?P<ATOM>[A-Za-z_][A-Za-z0-9_]*)|(?P<ARROW>:-)|(?P<DOT>\.)|(?P<COMMA>,))?"
+)
 
 
 @dataclass(frozen=True)
@@ -41,91 +53,58 @@ class ParseError(Exception):
         self.diagnostic = diagnostic
 
 
-class _Scanner:
-    """Produces (kind, text, line, col) tokens; kinds: ATOM NOT ARROW COMMA DOT EOF."""
+def _error(text: str, pos: int, message: str) -> ParseError:
+    line = text.count("\n", 0, pos) + 1
+    return ParseError(ParseDiagnostic(line, pos - text.rfind("\n", 0, pos), message))
+
+
+def _args_end(text: str, pos: int, start: int) -> int:
+    """Offset just past the ')' balancing the '(' at pos.
+
+    Each step counts the '(' up to the next ')' and moves past it, so every
+    character is scanned once however deep the nesting.
+    """
+    depth = 0
+    while True:
+        close = text.find(")", pos)
+        if close < 0:
+            raise _error(text, start, "unbalanced '(' in atom arguments")
+        depth += text.count("(", pos, close) - 1
+        pos = close + 1
+        if depth == 0:
+            return pos
+
+
+class _Parser:
+    """Recursive descent over (kind, text, offset) tokens; kinds: ATOM NOT ARROW COMMA DOT EOF."""
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _fail(self, message, line=None, col=None):
-        raise ParseError(ParseDiagnostic(line or self.line, col or self.col, message))
-
-    def _advance(self, n=1):
-        for _ in range(n):
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _skip_space(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "%":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            elif ch.isspace():
-                self._advance()
-            else:
-                return
-
-    def next_token(self):
-        self._skip_space()
-        if self.pos >= len(self.text):
-            return ("EOF", "", self.line, self.col)
-        line, col = self.line, self.col
-        ch = self.text[self.pos]
-        if ch == ".":
-            self._advance()
-            return ("DOT", ".", line, col)
-        if ch == ",":
-            self._advance()
-            return ("COMMA", ",", line, col)
-        if ch == ":":
-            if self.text[self.pos : self.pos + 2] == ":-":
-                self._advance(2)
-                return ("ARROW", ":-", line, col)
-            self._fail("expected ':-'", line, col)
-        if ch in _IDENT_START:
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CONT:
-                self._advance()
-            ident = self.text[start : self.pos]
-            if ident == "not":
-                return ("NOT", ident, line, col)
-            if self.pos < len(self.text) and self.text[self.pos] == "(":
-                depth = 0
-                while self.pos < len(self.text):
-                    c = self.text[self.pos]
-                    if c == "(":
-                        depth += 1
-                    elif c == ")":
-                        depth -= 1
-                    self._advance()
-                    if depth == 0:
-                        break
-                else:
-                    self._fail("unbalanced '(' in atom arguments", line, col)
-                return ("ATOM", self.text[start : self.pos], line, col)
-            return ("ATOM", ident, line, col)
-        self._fail(f"unexpected character {ch!r}", line, col)
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.scanner = _Scanner(text)
-        self.tok = self.scanner.next_token()
+        self._next()
 
     def _fail(self, message):
-        kind, text, line, col = self.tok
-        raise ParseError(ParseDiagnostic(line, col, message))
+        raise _error(self.text, self.tok[2], message)
 
     def _next(self):
-        self.tok = self.scanner.next_token()
+        text = self.text
+        m = _TOKEN.match(text, self.pos)
+        kind = m.lastgroup
+        if kind is None:
+            pos = m.end()
+            if pos == len(text):
+                self.tok = ("EOF", "", pos)
+                return
+            ch = text[pos]
+            raise _error(text, pos, "expected ':-'" if ch == ":" else f"unexpected character {ch!r}")
+        start, end = m.span(kind)
+        if kind == "ATOM":
+            if m[kind] == "not":
+                kind = "NOT"
+            elif text.startswith("(", end):
+                end = _args_end(text, end, start)
+        self.pos = end
+        self.tok = (kind, text[start:end], start)
 
     def _expect(self, kind, what):
         if self.tok[0] != kind:

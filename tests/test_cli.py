@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import aspcount
+import aspcount.cli
+from aspcount import parse_program
 from aspcount.cli import run
 
 from helpers import EXAMPLE1
@@ -164,9 +167,31 @@ def test_usage_error_exit_code(capsys):
     assert run(["frobnicate"]) == 1
 
 
-def test_negative_cache_limit_is_usage_error(example1, capsys):
-    assert run(["count", example1, "--cache-limit-mb", "-1"]) == 1
-    assert capsys.readouterr().err.startswith("usage error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["count", "--cache-limit-mb", "-1"], id="cache-limit-negative"),
+        pytest.param(["hybrid", "--budget", "-1"], id="budget-negative"),
+        pytest.param(["hybrid", "--budget", "nan"], id="budget-nan"),
+        pytest.param(["oracle", "--cap", "-1"], id="cap-negative"),
+    ],
+)
+def test_bad_numeric_option_is_usage_error(example1, capsys, argv):
+    assert run([argv[0], example1, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error")
+
+
+def test_wall_seconds_includes_parsing(example1, capsys, monkeypatch):
+    def slow_parse(text):
+        time.sleep(0.05)
+        return parse_program(text)
+
+    monkeypatch.setattr(aspcount.cli, "parse_program", slow_parse)
+    assert run(["count", example1, "--stats", "json"]) == 0
+    doc = json.loads(capsys.readouterr().err.strip())
+    assert doc["wall_seconds"] >= 0.05
 
 
 def test_python_dash_m(example1):

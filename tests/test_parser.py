@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from aspcount import ParseError, parse_program, render_program
+from aspcount import ParseDiagnostic, ParseError, parse_program, render_program
 
 from helpers import EXAMPLE1, random_program
 
@@ -37,6 +37,7 @@ def test_constraint_only():
 def test_comments_and_whitespace():
     p = parse_program("% header\n  a :- % inline\n     not b .  % trailing\nb.")
     assert len(p.rules) == 2
+    assert len(parse_program("a. % c").rules) == 1  # comment ends the input, no newline
 
 
 def test_parenthesized_args_are_one_symbol():
@@ -71,12 +72,27 @@ def test_syntax_errors(text, fragment):
     assert fragment in str(err.value)
 
 
-def test_diagnostic_position():
+@pytest.mark.parametrize(
+    "text,line,column,message",
+    [
+        pytest.param("a :- b.\ncc :- ,", 2, 7, "expected an atom, got ','", id="second-line"),
+        pytest.param("a.\n% b\n?", 3, 1, "unexpected character '?'", id="after-comment"),
+        pytest.param("x(1,\n2) :- y(\n3) ?", 3, 4, "unexpected character '?'", id="args-span-lines"),
+        pytest.param("not(a).", 1, 1, "'not' before 'not' / 'not' is not an atom", id="not-paren-head"),
+        pytest.param(":- not(a).", 1, 7, "unexpected character '('", id="not-paren-body"),
+    ],
+)
+def test_diagnostic_position(text, line, column, message):
     with pytest.raises(ParseError) as err:
-        parse_program("a :- b.\ncc :- ,")
-    d = err.value.diagnostic
-    assert d.line == 2
-    assert d.column == 7
+        parse_program(text)
+    assert err.value.diagnostic == ParseDiagnostic(line, column, message)
+
+
+def test_deeply_nested_args_are_one_symbol():
+    depth = 100_000
+    p = parse_program("a" + "(" * depth + ")" * depth + ".")
+    assert p.n_atoms == 1
+    assert len(p.symbol(0)) == 1 + 2 * depth
 
 
 def test_render_example1_lines():
