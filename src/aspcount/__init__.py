@@ -17,7 +17,7 @@ from .benchgen import (
     parse_graph,
     random_graph,
 )
-from .encode import Cnf, PairFormula, VarKind, build_pair, emit_dimacs
+from .encode import Cnf, PairFormula, build_pair, emit_dimacs
 from .engine import (
     Engine,
     ExactCount,
@@ -30,7 +30,7 @@ from .engine import (
 from .errors import ResourceLimitError
 from .oracle import brute_force_count, gl_reduct, is_answer_set, least_model, residual
 from .parser import ParseDiagnostic, ParseError, parse_program, render_program
-from .program import AtomId, Constraint, Program, Rule, SymbolTable, intern_atom, validate
+from .program import AtomId, Constraint, Program, Rule, SymbolTable, validate
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "Rule",
     "RunStats",
     "SymbolTable",
-    "VarKind",
     "brute_force_count",
     "build_dep_graph",
     "build_pair",
@@ -65,7 +64,6 @@ __all__ = [
     "gen_reachability",
     "gl_reduct",
     "hybrid_count",
-    "intern_atom",
     "is_answer_set",
     "is_tight",
     "least_model",

@@ -38,6 +38,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _non_negative_float(text: str) -> float:
     value = float(text)
     if not value >= 0:  # also rejects nan, which compares false with everything
@@ -60,11 +67,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", parents=[common], help="count by enumeration up to a limit")
     p.add_argument("file")
-    p.add_argument("--limit", type=int, default=DEFAULT_ENUM_THRESHOLD)
+    p.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUM_THRESHOLD)
 
     p = sub.add_parser("hybrid", parents=[common], help="enumerate, fall back to counting")
     p.add_argument("file")
-    p.add_argument("--threshold", type=int, default=DEFAULT_ENUM_THRESHOLD)
+    p.add_argument("--threshold", type=_positive_int, default=DEFAULT_ENUM_THRESHOLD)
     p.add_argument("--budget", type=_non_negative_float, default=None, help="total seconds")
 
     p = sub.add_parser("translate", parents=[common], help="emit annotated DIMACS")
@@ -105,7 +112,7 @@ def _write_out(text: str, output: str | None):
 def _report(args, answer_count, stats: RunStats, wall, program, pair):
     if args.stats != "json":
         return
-    copy_vars = pair.copy_vars
+    n_copy_vars = len(pair.copy_vars)  # one copy per loop atom
     doc = {
         "mode": args.cmd,
         "answer_count": str(answer_count),
@@ -117,11 +124,11 @@ def _report(args, answer_count, stats: RunStats, wall, program, pair):
         "cache_hit_pct": stats.cache_hit_pct,
         "cache_entries": stats.cache_entries,
         "wall_seconds": wall,
-        "tight": not copy_vars,
+        "tight": n_copy_vars == 0,
         "n_atoms": program.n_atoms,
         "n_rules": len(program.rules),
-        "n_loop_atoms": len(copy_vars),
-        "n_copy_vars": len(copy_vars),
+        "n_loop_atoms": n_copy_vars,
+        "n_copy_vars": n_copy_vars,
         "n_clauses_f": len(pair.completion),
         "n_clauses_g": len(pair.copy_clauses),
     }

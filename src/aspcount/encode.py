@@ -1,15 +1,16 @@
 """Pair representation of a program: completion CNF plus copy-implication CNF.
 
 Literal convention: variable v (0-based) appears as the signed integer
-+(v+1) / -(v+1), DIMACS style. Variables come in three classes:
++(v+1) / -(v+1), DIMACS style. Variables come in three contiguous blocks,
+in this order (see `VarTable`):
 
-  ORIGINAL  one per atom; var id == atom id
-  BODY_AUX  one per distinct rule body with >= 2 literals whose head atom
+  original  one per atom; var id == atom id
+  aux       one per distinct rule body with >= 2 literals whose head atom
             has >= 2 defining rules (full biconditional, so the model count
             of the completion over all variables equals the count over atoms)
-  COPY      one fresh variable per loop atom
+  copy      one fresh variable per loop atom
 
-The completion CNF never mentions COPY variables; every copy clause mentions
+The completion CNF never mentions copy variables; every copy clause mentions
 at least one. Copy clauses are built literally from the rules, including
 both-polarity (tautological) clauses from self-loop rules: under the residual
 semantics used for the vanishing test those clauses are what blocks a loop
@@ -19,7 +20,6 @@ atom from justifying itself, so they must not be simplified away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .analysis import LoopInfo, build_dep_graph, compute_loop_atoms
 from .program import AtomId, Program
@@ -37,47 +37,23 @@ def var_of(lit: int) -> int:
     return abs(lit) - 1
 
 
-class VarKind(Enum):
-    ORIGINAL = "orig"
-    BODY_AUX = "aux"
-    COPY = "copy"
-
-
-@dataclass(frozen=True)
-class VarInfo:
-    index: int
-    kind: VarKind
-    origin: int  # atom id for ORIGINAL/COPY, defining rule index for BODY_AUX
-
-
 class VarTable:
+    """Variable ids as three contiguous blocks: originals [0, n_original),
+    auxiliaries [n_original, first_copy), copies [first_copy, len(self)).
+    The layout holds by construction: clark_completion makes every
+    auxiliary before copy_operation makes the first copy."""
+
     def __init__(self, n_atoms: int):
-        self.infos = [VarInfo(v, VarKind.ORIGINAL, v) for v in range(n_atoms)]
         self.n_original = n_atoms
-        self._aux_by_body: dict[tuple[frozenset, frozenset], int] = {}
+        self.aux_of_body: dict[tuple[frozenset, frozenset], int] = {}
         self.copy_of_atom: dict[AtomId, int] = {}
 
+    @property
+    def first_copy(self) -> int:
+        return self.n_original + len(self.aux_of_body)
+
     def __len__(self):
-        return len(self.infos)
-
-    def aux_for_body(self, pos: frozenset, neg: frozenset, rule_idx: int) -> int:
-        key = (pos, neg)
-        got = self._aux_by_body.get(key)
-        if got is not None:
-            return got
-        v = len(self.infos)
-        self.infos.append(VarInfo(v, VarKind.BODY_AUX, rule_idx))
-        self._aux_by_body[key] = v
-        return v
-
-    def new_copy(self, atom: AtomId) -> int:
-        v = len(self.infos)
-        self.infos.append(VarInfo(v, VarKind.COPY, atom))
-        self.copy_of_atom[atom] = v
-        return v
-
-    def copy_vars(self) -> frozenset[int]:
-        return frozenset(self.copy_of_atom.values())
+        return self.first_copy + len(self.copy_of_atom)
 
 
 class Cnf:
@@ -126,13 +102,13 @@ def clark_completion(program: Program) -> tuple[Cnf, VarTable]:
     cnf = Cnf()
     table = VarTable(program.n_atoms)
 
-    by_head: dict[int, list[tuple[frozenset, frozenset, int]]] = {}
-    for idx, r in enumerate(program.rules):
+    by_head: dict[int, list[tuple[frozenset, frozenset]]] = {}
+    for r in program.rules:
         if r.body_unsatisfiable:
             continue
         entries = by_head.setdefault(r.head, [])
-        if all((r.pos_body, r.neg_body) != (p, n) for p, n, _ in entries):
-            entries.append((r.pos_body, r.neg_body, idx))
+        if (r.pos_body, r.neg_body) not in entries:
+            entries.append((r.pos_body, r.neg_body))
 
     for atom in range(program.n_atoms):
         bodies = by_head.get(atom, [])
@@ -140,22 +116,23 @@ def clark_completion(program: Program) -> tuple[Cnf, VarTable]:
         if not bodies:
             cnf.add([-head_lit])
             continue
-        is_fact = any(not p and not n for p, n, _ in bodies)
+        is_fact = any(not p and not n for p, n in bodies)
         if len(bodies) == 1 and not is_fact:
-            lits = _body_literals(*bodies[0][:2])
+            lits = _body_literals(*bodies[0])
             for l in lits:
                 cnf.add([-head_lit, l])
             cnf.add([-l for l in lits] + [head_lit])
             continue
         disjuncts = []
-        for p, n, rule_idx in bodies:
+        for p, n in bodies:
             lits = _body_literals(p, n)
             if not lits:
                 continue  # the fact; handled below
             if len(lits) == 1:
                 disjuncts.append(lits[0])
             else:
-                b = pos_lit(table.aux_for_body(p, n, rule_idx))
+                # the next id, unless an earlier head has the same body
+                b = pos_lit(table.aux_of_body.setdefault((p, n), len(table)))
                 for l in lits:
                     cnf.add([-b, l])
                 cnf.add([b] + [-l for l in lits])
@@ -180,7 +157,7 @@ def copy_operation(program: Program, info: LoopInfo, table: VarTable) -> Cnf:
     if not info.loop_atoms:
         return cnf
     for v in sorted(info.loop_atoms):
-        table.new_copy(v)
+        table.copy_of_atom[v] = len(table)
     for v in sorted(info.loop_atoms):
         cnf.add([-pos_lit(table.copy_of_atom[v]), pos_lit(v)])
     for r in program.rules:
@@ -205,8 +182,8 @@ class PairFormula:
     vars: VarTable
 
     @property
-    def copy_vars(self) -> frozenset[int]:
-        return self.vars.copy_vars()
+    def copy_vars(self) -> range:
+        return range(self.vars.first_copy, len(self.vars))
 
     @property
     def n_original(self) -> int:
@@ -227,19 +204,21 @@ def build_pair(program: Program) -> PairFormula:
 def emit_dimacs(pair: PairFormula) -> str:
     """Annotated DIMACS text of completion & copy clauses conjoined.
 
-    Comment lines list 1-based variable ids per class (`c orig`, `c aux`,
-    `c copy`); classes with no variables are omitted.
+    Comment lines list the 1-based variable ids of each block (`c orig`,
+    `c aux`, `c copy`); empty blocks are omitted.
     """
-    groups: dict[VarKind, list[int]] = {k: [] for k in VarKind}
-    for info in pair.vars.infos:
-        groups[info.kind].append(info.index + 1)
+    t = pair.vars
+    blocks = (
+        ("orig", 0, t.n_original),
+        ("aux", t.n_original, t.first_copy),
+        ("copy", t.first_copy, len(t)),
+    )
     out = []
-    for kind in (VarKind.ORIGINAL, VarKind.BODY_AUX, VarKind.COPY):
-        if groups[kind]:
-            out.append("c %s %s" % (kind.value, " ".join(map(str, groups[kind]))))
+    for name, lo, hi in blocks:
+        if lo < hi:
+            out.append("c %s %s" % (name, " ".join(map(str, range(lo + 1, hi + 1)))))
     clauses = pair.completion.clauses + pair.copy_clauses.clauses
     out.append("p cnf %d %d" % (pair.n_vars, len(clauses)))
     for c in clauses:
         out.append(" ".join(map(str, c)) + " 0")
     return "\n".join(out) + "\n"
-

@@ -15,10 +15,12 @@ are false, so its residual is exactly its canonical literals restricted to
 the component's variables; equal keys therefore mean identical residual
 subformulas over identically-flagged variables.
 
-Copy variables are propagated but never decided and never enumerated:
-a component whose unassigned variables are all copies counts 0 (a loop
-with no external justification), a free copy variable contributes a
-factor of 1, and a free non-copy variable a factor of 2.
+Copy variables, the block from `first_copy` up (see `encode.VarTable`),
+are propagated but never decided and never enumerated: a component whose
+unassigned variables are all copies counts 0 (a loop with no external
+justification), a free copy variable contributes a factor of 1, and a free
+non-copy variable a factor of 2. A component's variables are sorted, so its
+non-copies are the prefix below `first_copy`.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from __future__ import annotations
 import sys
 import time
 from array import array
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .encode import PairFormula, VarKind
+from .encode import PairFormula
 from .errors import ResourceLimitError
 
 DEFAULT_CACHE_LIMIT = 1 << 30  # 1 GiB
@@ -92,9 +95,8 @@ class Engine:
         seed: int | None = None,
         budget: float | None = None,
     ):
-        self.pair = pair
         self.n_vars = pair.n_vars
-        self.is_copy = [info.kind is VarKind.COPY for info in pair.vars.infos]
+        self.first_copy = pair.vars.first_copy
         # canonical tuples for scanning; propagate swaps literals in the
         # mutable lists to keep its two watches in front
         self.canon = pair.completion.clauses + pair.copy_clauses.clauses
@@ -301,10 +303,11 @@ class Engine:
             for l in canon[ci]:
                 v = abs(l) - 1
                 scores[v] = scores.get(v, 0) + 1
+        free = comp.vars[: bisect_left(comp.vars, self.first_copy)]
         best = None
         best_score = -1
-        for v in comp.vars:
-            if self.is_copy[v] or self.values[v] != -1:
+        for v in free:
+            if self.values[v] != -1:
                 continue
             s = scores.get(v, 0)
             if s > best_score:
@@ -312,10 +315,8 @@ class Engine:
         if best is not None and self.rng is not None:
             tied = [
                 v
-                for v in comp.vars
-                if not self.is_copy[v]
-                and self.values[v] == -1
-                and scores.get(v, 0) == best_score
+                for v in free
+                if self.values[v] == -1 and scores.get(v, 0) == best_score
             ]
             best = self.rng.choice(tied)
         return best
@@ -382,11 +383,12 @@ class Engine:
         # are built only after a conflict-free propagation fixpoint, so the
         # empty-clause base case surfaces as a conflict in the branch loop
         self._check_deadline()
+        n_free = bisect_left(comp.vars, self.first_copy)  # non-copy variables
         if not comp.clause_idxs:
             # all clauses satisfied: free variables enumerate freely,
             # except copies, whose value never distinguishes answer sets
-            return 1 << sum(1 for v in comp.vars if not self.is_copy[v])
-        if all(self.is_copy[v] for v in comp.vars):
+            return 1 << n_free
+        if n_free == 0:
             return 0  # unresolved cyclic support only
         v = self.decide(comp)
         total = 0
@@ -420,7 +422,7 @@ class Engine:
         t0 = time.perf_counter()
         if not self._apply_initial():
             return ExactCount(0)
-        branch_vars = [v for v in range(self.n_vars) if not self.is_copy[v]]
+        branch_vars = range(self.first_copy)
         g_range = range(self.g_start, len(self.clauses))
         values = self.values
         clauses = self.clauses

@@ -43,10 +43,6 @@ class SymbolTable:
         return iter(self._names)
 
 
-def intern_atom(table: SymbolTable, symbol: str) -> AtomId:
-    return table.intern(symbol)
-
-
 @dataclass(frozen=True)
 class Rule:
     head: AtomId

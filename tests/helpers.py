@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import random
 
-from aspcount.encode import VarKind
 from aspcount.oracle import residual
 from aspcount.program import Constraint, Program, Rule, SymbolTable
 
@@ -96,13 +95,9 @@ def satisfies_completion(program: Program, m: frozenset[int]) -> bool:
 def extends_to_completion_model(pair, program, m: frozenset[int]) -> bool:
     """True iff the atom assignment for m, extended over the body-auxiliary
     variables by evaluating their bodies, satisfies every completion clause."""
-    values = {}
-    for info in pair.vars.infos:
-        if info.kind is VarKind.ORIGINAL:
-            values[info.index] = info.index in m
-        elif info.kind is VarKind.BODY_AUX:
-            r = program.rules[info.origin]
-            values[info.index] = r.pos_body <= m and not (r.neg_body & m)
+    values = {a: a in m for a in range(pair.n_original)}
+    for (pos, neg), v in pair.vars.aux_of_body.items():
+        values[v] = pos <= m and not (neg & m)
     return all(
         any(values[abs(l) - 1] == (l > 0) for l in clause)
         for clause in pair.completion

@@ -174,6 +174,9 @@ def test_usage_error_exit_code(capsys):
         pytest.param(["hybrid", "--budget", "-1"], id="budget-negative"),
         pytest.param(["hybrid", "--budget", "nan"], id="budget-nan"),
         pytest.param(["oracle", "--cap", "-1"], id="cap-negative"),
+        pytest.param(["enumerate", "--limit", "0"], id="limit-zero"),
+        pytest.param(["enumerate", "--limit", "-1"], id="limit-negative"),
+        pytest.param(["hybrid", "--threshold", "0"], id="threshold-zero"),
     ],
 )
 def test_bad_numeric_option_is_usage_error(example1, capsys, argv):

@@ -144,7 +144,7 @@ def test_decompose_partitions_parent(program, picks, phase):
     if not eng._apply_initial():
         return
     for v in picks:
-        if v >= eng.n_vars or eng.is_copy[v] or eng.values[v] != -1:
+        if v >= eng.first_copy or eng.values[v] != -1:
             continue
         mark = len(eng.trail)
         eng.assign(v + 1 if phase else -(v + 1), decision=True)

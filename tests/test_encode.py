@@ -3,14 +3,17 @@ import random
 
 from aspcount import (
     brute_force_count,
+    build_dep_graph,
     build_pair,
+    compute_loop_atoms,
     count,
     emit_dimacs,
     gen_choice_chain,
     is_answer_set,
+    is_tight,
     parse_program,
 )
-from aspcount.encode import VarKind, neg_lit, pos_lit
+from aspcount.encode import neg_lit, pos_lit, var_of
 
 from helpers import (
     EXAMPLE1,
@@ -100,10 +103,43 @@ def test_build_pair_example1_invariants():
         assert not any(abs(l) - 1 in copy_vars for l in clause)
     for clause in pair.copy_clauses:
         assert any(abs(l) - 1 in copy_vars for l in clause)
-    kinds = [info.kind for info in pair.vars.infos]
-    assert kinds.count(VarKind.ORIGINAL) == 5
-    assert kinds.count(VarKind.BODY_AUX) == 2
-    assert kinds.count(VarKind.COPY) == 2
+    t = pair.vars
+    assert t.n_original == 5
+    assert t.first_copy - t.n_original == 2  # auxiliaries
+    assert pair.n_vars - t.first_copy == 2  # copies
+
+
+def test_variable_blocks_on_random_programs():
+    # originals, auxiliaries and copies are contiguous blocks in that order
+    rng = random.Random(23)
+    programs = [random_program(rng) for _ in range(80)]
+    programs.append(parse_program("a :- b, not c.\na :- not b.\nb :- not c.\nc :- not b."))
+    programs.append(parse_program(""))
+    seen_aux = seen_copy = seen_tight = 0
+    for p in programs:
+        pair = build_pair(p)
+        t = pair.vars
+        first, n = t.first_copy, pair.n_vars
+        assert t.n_original == p.n_atoms
+        assert sorted(t.aux_of_body.values()) == list(range(t.n_original, first))
+        assert sorted(t.copy_of_atom.values()) == list(range(first, n))
+        assert pair.copy_vars == range(first, n)
+
+        assert not any(var_of(l) >= first for c in pair.completion for l in c)
+        assert all(any(var_of(l) >= first for l in c) for c in pair.copy_clauses)
+
+        blocks = {"orig": (0, t.n_original), "aux": (t.n_original, first), "copy": (first, n)}
+        expected = {k: list(range(lo + 1, hi + 1)) for k, (lo, hi) in blocks.items() if lo < hi}
+        lines = [l.split() for l in emit_dimacs(pair).splitlines() if l.startswith("c ")]
+        assert {w[1]: [int(x) for x in w[2:]] for w in lines} == expected
+        assert [w[1] for w in lines] == list(expected)  # in block order
+
+        tight = is_tight(compute_loop_atoms(build_dep_graph(p)))
+        assert (not pair.copy_vars) == tight
+        seen_aux += first > t.n_original
+        seen_copy += n > first
+        seen_tight += tight
+    assert seen_aux and seen_copy and seen_tight
 
 
 def test_empty_program_pair():

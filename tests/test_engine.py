@@ -232,7 +232,7 @@ def test_no_decisions_on_copy_vars(monkeypatch):
         p = random_program(rng)
         pair = build_pair(p)
         Engine(pair).count()
-        assert not (set(decided) & pair.copy_vars)
+        assert set(decided).isdisjoint(pair.copy_vars)
         decided.clear()
 
 

@@ -1,27 +1,27 @@
 import pytest
 
 from aspcount import brute_force_count, parse_program, validate
-from aspcount.program import Constraint, Program, Rule, SymbolTable, intern_atom
+from aspcount.program import Constraint, Program, Rule, SymbolTable
 
 from helpers import EXAMPLE1
 
 
 def test_intern_idempotent():
     t = SymbolTable()
-    assert intern_atom(t, "a") == intern_atom(t, "a")
+    assert t.intern("a") == t.intern("a")
 
 
 def test_intern_contiguous():
     t = SymbolTable()
-    assert intern_atom(t, "a") == 0
-    assert intern_atom(t, "b") == 1
+    assert t.intern("a") == 0
+    assert t.intern("b") == 1
     assert len(t) == 2
     assert t.name(0) == "a" and t.id_of("b") == 1
 
 
 def test_intern_opaque_ground_terms():
     t = SymbolTable()
-    v = intern_atom(t, "edge(1,2)")
+    v = t.intern("edge(1,2)")
     assert t.name(v) == "edge(1,2)"
     assert len(t) == 1
 
@@ -29,9 +29,9 @@ def test_intern_opaque_ground_terms():
 def test_intern_rejects_empty_or_padded():
     t = SymbolTable()
     with pytest.raises(ValueError):
-        intern_atom(t, "")
+        t.intern("")
     with pytest.raises(ValueError):
-        intern_atom(t, " a")
+        t.intern(" a")
 
 
 def test_validate_contradictory_body():
