@@ -8,7 +8,7 @@ counts such assignments with component decomposition and caching, and a
 brute-force reduct oracle provides the ground truth for testing.
 """
 
-from .analysis import DepGraph, LoopInfo, build_dep_graph, compute_loop_atoms, is_tight
+from .analysis import DepGraph, LoopInfo, build_dep_graph, compute_loop_atoms
 from .benchgen import (
     Graph,
     gen_choice_chain,
@@ -18,15 +18,7 @@ from .benchgen import (
     random_graph,
 )
 from .encode import Cnf, PairFormula, build_pair, emit_dimacs
-from .engine import (
-    Engine,
-    ExactCount,
-    Exceeded,
-    RunStats,
-    count,
-    enumerate_up_to,
-    hybrid_count,
-)
+from .engine import Engine, ExactCount, Exceeded, RunStats
 from .errors import ResourceLimitError
 from .oracle import brute_force_count, gl_reduct, is_answer_set, least_model, residual
 from .parser import ParseDiagnostic, ParseError, parse_program, render_program
@@ -56,16 +48,12 @@ __all__ = [
     "build_dep_graph",
     "build_pair",
     "compute_loop_atoms",
-    "count",
     "emit_dimacs",
-    "enumerate_up_to",
     "gen_choice_chain",
     "gen_hamiltonian",
     "gen_reachability",
     "gl_reduct",
-    "hybrid_count",
     "is_answer_set",
-    "is_tight",
     "least_model",
     "parse_graph",
     "parse_program",

@@ -50,10 +50,6 @@ def compute_loop_atoms(graph: DepGraph) -> LoopInfo:
     return LoopInfo(tuple(scc_of), frozenset(loop))
 
 
-def is_tight(info: LoopInfo) -> bool:
-    return not info.loop_atoms
-
-
 def _tarjan(n: int, succ: list[list[int]]) -> list[int]:
     """Iterative Tarjan; returns scc index per node (linear in nodes + edges)."""
     index = [-1] * n

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from . import benchgen
-from .analysis import build_dep_graph, compute_loop_atoms, is_tight
+from .analysis import build_dep_graph, compute_loop_atoms
 from .encode import build_pair, emit_dimacs
 from .engine import DEFAULT_ENUM_THRESHOLD, Engine, ExactCount, RunStats
 from .errors import ResourceLimitError
@@ -74,19 +74,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--threshold", type=_positive_int, default=DEFAULT_ENUM_THRESHOLD)
     p.add_argument("--budget", type=_non_negative_float, default=None, help="total seconds")
 
-    p = sub.add_parser("translate", parents=[common], help="emit annotated DIMACS")
+    p = sub.add_parser("translate", help="emit annotated DIMACS")
     p.add_argument("file")
     p.add_argument("-o", "--output", default=None)
 
-    p = sub.add_parser("oracle", parents=[common], help="brute-force count (small programs)")
+    p = sub.add_parser("oracle", help="brute-force count (small programs)")
     p.add_argument("file")
     p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ATOM_CAP)
 
-    p = sub.add_parser("analyze", parents=[common], help="tightness and loop atoms")
+    p = sub.add_parser("analyze", help="tightness and loop atoms")
     p.add_argument("file")
     p.add_argument("--dump-graph", action="store_true")
 
-    p = sub.add_parser("gen", parents=[common], help="generate benchmark instances")
+    p = sub.add_parser("gen", help="generate benchmark instances")
     gen_sub = p.add_subparsers(dest="family", required=True)
     g = gen_sub.add_parser("chain")
     g.add_argument("n", type=int)
@@ -196,7 +196,7 @@ def _cmd_analyze(args) -> int:
     program = _load(args.file)
     graph = build_dep_graph(program)
     info = compute_loop_atoms(graph)
-    print("tight: %s" % ("true" if is_tight(info) else "false"))
+    print("tight: %s" % ("true" if not info.loop_atoms else "false"))
     print("loop_atoms: %s" % " ".join(program.symbol(a) for a in sorted(info.loop_atoms)))
     print("n_atoms: %d" % program.n_atoms)
     print("n_rules: %d" % len(program.rules))

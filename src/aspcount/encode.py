@@ -186,10 +186,6 @@ class PairFormula:
         return range(self.vars.first_copy, len(self.vars))
 
     @property
-    def n_original(self) -> int:
-        return self.vars.n_original
-
-    @property
     def n_vars(self) -> int:
         return len(self.vars)
 

@@ -4,7 +4,12 @@ Search skeleton: decide an unassigned non-copy variable, propagate each
 branch to fixpoint (two watched literals over mutable copies of the
 clauses), split the parent component's unsatisfied clauses into
 variable-disjoint components, count each component through an exact-key
-LRU cache, multiply, and sum the branches.
+LRU cache, multiply, and sum the branches. The search is one loop over an
+explicit stack of frames, one per component being branched on, so its depth
+never meets Python's recursion limit. Enumeration is the same loop over one
+component, every non-copy variable and the copy clauses, with no cache and
+no decomposition, branching on the lowest unassigned variable and stopping
+once more than `limit` leaves are answers.
 
 A component is (vars, clause ids): its sorted unassigned variables and the
 ascending ids of its unsatisfied clauses. `decompose` finds components by
@@ -16,16 +21,17 @@ the component's variables; equal keys therefore mean identical residual
 subformulas over identically-flagged variables.
 
 Copy variables, the block from `first_copy` up (see `encode.VarTable`),
-are propagated but never decided and never enumerated: a component whose
-unassigned variables are all copies counts 0 (a loop with no external
-justification), a free copy variable contributes a factor of 1, and a free
-non-copy variable a factor of 2. A component's variables are sorted, so its
-non-copies are the prefix below `first_copy`.
+are propagated but never decided and never enumerated. One leaf test serves
+both modes: once no non-copy variable is left to branch on, the component
+is worth 1 if none of its clauses is unsatisfied and 0 otherwise (a loop
+with no external justification). When counting, a component with no clause
+left is worth a factor of 2 per free non-copy variable and 1 per free copy.
+A component's variables are sorted, so its non-copies are the prefix below
+`first_copy`.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from array import array
 from bisect import bisect_left
@@ -79,10 +85,6 @@ def cache_key_bytes(variables, clause_idxs) -> bytes:
     return array("i", (len(variables), *variables, *clause_idxs)).tobytes()
 
 
-class _LimitHit(Exception):
-    pass
-
-
 class Engine:
     """One engine instance = one single-threaded search over one PairFormula."""
 
@@ -101,7 +103,10 @@ class Engine:
         # mutable lists to keep its two watches in front
         self.canon = pair.completion.clauses + pair.copy_clauses.clauses
         self.clauses = [list(c) for c in self.canon]
-        self.g_start = len(pair.completion)
+        # enumeration's one component: every non-copy variable, copy clauses
+        self._enum_root = Component(
+            range(self.first_copy), range(len(pair.completion), len(self.canon))
+        )
         self._has_empty_clause = any(not c for c in self.canon)
         self._unit_lits = [c[0] for c in self.canon if len(c) == 1]
         self.watches: list[list[int]] = [[] for _ in range(2 * self.n_vars + 1)]
@@ -133,8 +138,6 @@ class Engine:
         self.stats = RunStats()
         self._cache: OrderedDict[bytes, int] = OrderedDict()
         self._cache_bytes = 0
-
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * self.n_vars + 10_000))
 
     # -- assignment & propagation ------------------------------------------
 
@@ -321,7 +324,7 @@ class Engine:
             best = self.rng.choice(tied)
         return best
 
-    # -- counting ------------------------------------------------------------
+    # -- search ------------------------------------------------------------
 
     def count(self, assumptions=()) -> tuple[int, RunStats]:
         """Exact answer-set count. Resets search state (cache included); the
@@ -333,12 +336,8 @@ class Engine:
         self.reset()
         if not self._apply_initial(assumptions):
             return 0, self._finalize()
-        total = 1
-        for comp in self.decompose(range(self.n_vars), range(len(self.canon))):
-            total *= self._cached_count(comp)
-            if total == 0:
-                break
-        return total, self._finalize()
+        roots = self.decompose(range(self.n_vars), range(len(self.canon)))
+        return self._search(roots), self._finalize()
 
     def _finalize(self) -> RunStats:
         self.stats.cache_entries = len(self._cache)
@@ -352,18 +351,10 @@ class Engine:
         if self._deadline is not None and time.perf_counter() > self._deadline:
             raise ResourceLimitError("time budget exhausted", self._finalize())
 
-    def _cached_count(self, comp: Component) -> int:
-        if not self.use_cache:
-            return self._count_component(comp)
-        key = cache_key_bytes(comp.vars, comp.clause_idxs)
-        self.stats.cache_lookups += 1
+    def _store(self, key: bytes, val: int):
+        """Caches one component value, evicting least recently used entries
+        to stay under the byte cap."""
         cache = self._cache
-        got = cache.get(key)
-        if got is not None:
-            self.stats.cache_hits += 1
-            cache.move_to_end(key)
-            return got
-        val = self._count_component(comp)
         size = len(key) + 64 + (val.bit_length() >> 3)
         while self._cache_bytes + size > self.cache_limit_bytes and cache:
             old_key, old_val = cache.popitem(last=False)
@@ -376,37 +367,123 @@ class Engine:
         self._cache_bytes += size
         if self._cache_bytes > self.stats.peak_cache_bytes:
             self.stats.peak_cache_bytes = self._cache_bytes
-        return val
 
-    def _count_component(self, comp: Component) -> int:
-        # a falsified clause can never be in comp.clause_idxs: components
-        # are built only after a conflict-free propagation fixpoint, so the
-        # empty-clause base case surfaces as a conflict in the branch loop
-        self._check_deadline()
-        n_free = bisect_left(comp.vars, self.first_copy)  # non-copy variables
-        if not comp.clause_idxs:
-            # all clauses satisfied: free variables enumerate freely,
-            # except copies, whose value never distinguishes answer sets
-            return 1 << n_free
-        if n_free == 0:
-            return 0  # unresolved cyclic support only
-        v = self.decide(comp)
-        total = 0
-        plit = v + 1
-        for lit in (plit, -plit):
-            mark = len(self.trail)
-            self.assign(lit, decision=True)
-            if self.propagate() is None:
-                branch = 1
-                for sub in self.decompose(comp.vars, comp.clause_idxs):
-                    branch *= self._cached_count(sub)
-                    if branch == 0:
-                        break
-                total += branch
-            self.backtrack(mark)
-        return total
+    def _leaf_value(self, clause_idxs) -> int:
+        """1 if none of the clauses is unsatisfied, else 0 (a loop with no
+        external justification); asked once no non-copy variable is left."""
+        values = self.values
+        canon = self.canon
+        for ci in clause_idxs:
+            for l in canon[ci]:
+                if values[abs(l) - 1] == (1 if l > 0 else 0):
+                    break
+            else:
+                return 0
+        return 1
 
-    # -- enumeration & hybrid -----------------------------------------------
+    def _search(self, roots, limit: int | None = None) -> int | None:
+        """Product of the values of the components `roots`, by a depth-first
+        search over one explicit stack of frames, one frame per component
+        being branched on; the frame on top lives in local variables.
+
+        Counting (`limit` is None) looks each component up in the cache
+        before anything else, splits each branch with `decompose` and caches
+        the sum of the two branches. Enumeration (`limit` set) is given one
+        root and no cache; the open branch's only component is the frame's
+        own, it branches on the lowest unassigned variable, and the search
+        returns None as soon as more than `limit` leaves are answers."""
+        counting = limit is None
+        caching = counting and self.use_cache
+        values = self.values
+        trail = self.trail
+        stats = self.stats
+        first_copy = self.first_copy
+        cache = self._cache
+        key_of = cache_key_bytes  # read per call, so a patched name is used
+        decompose = self.decompose
+        decide = self.decide
+        propagate = self.propagate
+        backtrack = self.backtrack
+        check_deadline = self._check_deadline
+        leaf_value = self._leaf_value
+        store = self._store
+        found = 0
+        stack = []  # the frames below the top one
+        # the top frame: its component (None for the root frame) and cache
+        # key, second branch literal (0 once taken), trail mark, sum over its
+        # finished branches, and its open branch's components, next index
+        # and running product
+        comp = key = sub_key = None
+        pending = total = 0
+        mark = len(trail)
+        subs, i, prod = roots, 0, 1
+        while True:
+            if prod and i < len(subs):
+                sub = subs[i]
+                i += 1
+                if caching:
+                    sub_key = key_of(sub.vars, sub.clause_idxs)
+                    stats.cache_lookups += 1
+                    got = cache.get(sub_key)
+                    if got is not None:
+                        stats.cache_hits += 1
+                        cache.move_to_end(sub_key)
+                        prod *= got
+                        continue
+                check_deadline()
+                if counting:
+                    # with no clause left, the free non-copies are counted
+                    # unbranched; a free copy never tells answer sets apart
+                    n_free = bisect_left(sub.vars, first_copy)
+                    v = decide(sub) if n_free and sub.clause_idxs else None
+                else:
+                    n_free = 0
+                    for v in sub.vars:
+                        if values[v] == -1:
+                            break
+                    else:
+                        v = None
+                if v is None:
+                    val = leaf_value(sub.clause_idxs) << n_free
+                    if val and not counting:
+                        found += 1
+                        if found > limit:
+                            return None
+                    if caching:
+                        store(sub_key, val)
+                    prod *= val
+                    continue
+                stack.append((comp, key, pending, mark, total, subs, i, prod))
+                comp, key, total = sub, sub_key, 0
+                mark = len(trail)
+                lit = v + 1
+                pending = -lit
+                values[v] = 1
+            elif comp is None:
+                return prod
+            else:
+                total += prod
+                backtrack(mark)
+                if not pending:
+                    if caching:
+                        store(key, total)
+                    val = total
+                    comp, key, pending, mark, total, subs, i, prod = stack.pop()
+                    prod *= val
+                    continue
+                lit = pending
+                pending = 0
+                values[-lit - 1] = 0
+            # a branch literal was just set: propagate, then open the branch
+            trail.append(lit)
+            stats.decisions += 1
+            if propagate() is None:
+                subs = decompose(comp.vars, comp.clause_idxs) if counting else (comp,)
+                i, prod = 0, 1
+            else:
+                # the branch is worth 0; as components come only from a
+                # conflict-free fixpoint, none ever holds a falsified clause
+                subs, i, prod = (), 0, 0
 
     def enumerate_up_to(self, limit: int):
         """Depth-first enumeration over non-copy variables, no caching and
@@ -422,48 +499,8 @@ class Engine:
         t0 = time.perf_counter()
         if not self._apply_initial():
             return ExactCount(0)
-        branch_vars = range(self.first_copy)
-        g_range = range(self.g_start, len(self.clauses))
-        values = self.values
-        clauses = self.clauses
-        found = 0
-
-        def leaf_is_answer() -> bool:
-            for ci in g_range:
-                sat = False
-                for l in clauses[ci]:
-                    if values[abs(l) - 1] == (1 if l > 0 else 0):
-                        sat = True
-                        break
-                if not sat:
-                    return False  # cyclic support left unresolved
-            return True
-
-        def dfs():
-            nonlocal found
-            pick = None
-            for v in branch_vars:
-                if values[v] == -1:
-                    pick = v
-                    break
-            if pick is None:
-                if leaf_is_answer():
-                    found += 1
-                    if found > limit:
-                        raise _LimitHit
-                self._check_deadline()
-                return
-            plit = pick + 1
-            for lit in (plit, -plit):
-                mark = len(self.trail)
-                self.assign(lit, decision=True)
-                if self.propagate() is None:
-                    dfs()
-                self.backtrack(mark)
-
-        try:
-            dfs()
-        except _LimitHit:
+        found = self._search([self._enum_root], limit)
+        if found is None:
             return Exceeded(time.perf_counter() - t0)
         return ExactCount(found)
 
@@ -483,20 +520,3 @@ class Engine:
         stats.bcp_time += enum_stats.bcp_time
         stats.path = "counting"
         return n, stats
-
-
-def count(pair: PairFormula, **options) -> tuple[int, RunStats]:
-    return Engine(pair, **options).count()
-
-
-def enumerate_up_to(pair: PairFormula, limit: int, **options):
-    return Engine(pair, **options).enumerate_up_to(limit)
-
-
-def hybrid_count(
-    pair: PairFormula,
-    threshold: int = DEFAULT_ENUM_THRESHOLD,
-    budget: float | None = None,
-    **options,
-) -> tuple[int, RunStats]:
-    return Engine(pair, budget=budget, **options).hybrid(threshold)

@@ -92,10 +92,10 @@ def satisfies_completion(program: Program, m: frozenset[int]) -> bool:
     return not any(c.pos <= m and not (c.neg & m) for c in program.constraints)
 
 
-def extends_to_completion_model(pair, program, m: frozenset[int]) -> bool:
+def extends_to_completion_model(pair, m: frozenset[int]) -> bool:
     """True iff the atom assignment for m, extended over the body-auxiliary
     variables by evaluating their bodies, satisfies every completion clause."""
-    values = {a: a in m for a in range(pair.n_original)}
+    values = {a: a in m for a in range(pair.vars.n_original)}
     for (pos, neg), v in pair.vars.aux_of_body.items():
         values[v] = pos <= m and not (neg & m)
     return all(
@@ -105,7 +105,7 @@ def extends_to_completion_model(pair, program, m: frozenset[int]) -> bool:
 
 
 def copy_clauses_discharge(pair, m: frozenset[int]) -> bool:
-    tau = {a: (a in m) for a in range(pair.n_original)}
+    tau = {a: (a in m) for a in range(pair.vars.n_original)}
     return len(residual(pair.copy_clauses, tau).clauses) == 0
 
 

@@ -15,11 +15,9 @@ from aspcount import (
     build_dep_graph,
     build_pair,
     compute_loop_atoms,
-    count,
     gen_choice_chain,
     gen_hamiltonian,
     gen_reachability,
-    hybrid_count,
     is_answer_set,
     parse_program,
     residual,
@@ -78,7 +76,7 @@ def test_c01_example1_fidelity():
         assert residual(pair.copy_clauses, tau2).clauses == []
         assert residual(pair.copy_clauses, tau3).clauses != []
 
-        assert count(pair)[0] == 2
+        assert Engine(pair).count()[0] == 2
         assert brute_force_count(p) == 2
         assert time.perf_counter() - t0 < 1.0
 
@@ -96,9 +94,7 @@ def test_c02_answer_set_characterization_suite():
                 non_tight += 1
             for bits in range(1 << p.n_atoms):
                 m = frozenset(x for x in range(p.n_atoms) if bits >> x & 1)
-                lhs = extends_to_completion_model(
-                    pair, p, m
-                ) and copy_clauses_discharge(pair, m)
+                lhs = extends_to_completion_model(pair, m) and copy_clauses_discharge(pair, m)
                 assert lhs == is_answer_set(p, m), f"mismatch on program {i}, m={sorted(m)}"
         assert non_tight >= 150  # >= 30% of 500
         assert time.perf_counter() - t0 < 300
@@ -110,7 +106,7 @@ def test_c03_oracle_count_equivalence():
         rng = random.Random(303)
         for _ in range(1000):
             p = random_program(rng)
-            assert count(build_pair(p))[0] == brute_force_count(p)
+            assert Engine(build_pair(p)).count()[0] == brute_force_count(p)
 
         instances = [gen_choice_chain(n) for n in range(6)]
         instances += [
@@ -126,7 +122,7 @@ def test_c03_oracle_count_equivalence():
         ]
         for p in instances:
             assert p.n_atoms <= 24
-            assert count(build_pair(p))[0] == brute_force_count(p)
+            assert Engine(build_pair(p)).count()[0] == brute_force_count(p)
         assert time.perf_counter() - t0 < 600
 
 
@@ -137,7 +133,7 @@ def test_c04_determinism_identity():
             p = random_program(rng)
             pair = build_pair(p)
             x = rng.randrange(p.n_atoms)
-            total = count(pair)[0]
+            total = Engine(pair).count()[0]
             high = Engine(pair).count(assumptions=[pos_lit(x)])[0]
             low = Engine(pair).count(assumptions=[neg_lit(x)])[0]
             assert total == high + low
@@ -149,8 +145,8 @@ def test_c05_decomposition_identity():
         for _ in range(100):
             p1 = random_program(rng, max_atoms=6)
             p2 = random_program(rng, max_atoms=6)
-            product = count(build_pair(p1))[0] * count(build_pair(p2))[0]
-            assert count(build_pair(disjoint_union(p1, p2)))[0] == product
+            product = Engine(build_pair(p1)).count()[0] * Engine(build_pair(p2)).count()[0]
+            assert Engine(build_pair(disjoint_union(p1, p2))).count()[0] == product
 
 
 def test_c06_cache_transparency_and_hits():
@@ -159,7 +155,7 @@ def test_c06_cache_transparency_and_hits():
         for _ in range(1000):
             p = random_program(rng, max_atoms=6)
             pair = build_pair(p)
-            assert count(pair)[0] == count(pair, use_cache=False)[0]
+            assert Engine(pair).count()[0] == Engine(pair, use_cache=False).count()[0]
 
         gadget = (
             "v{0} :- not w{0}. w{0} :- not v{0}.\n"
@@ -169,7 +165,7 @@ def test_c06_cache_transparency_and_hits():
             ":- v{0}, not z{0}a, not z{0}b.\n"
         )
         p = parse_program(gadget.format(1) + gadget.format(2))
-        n, stats = count(build_pair(p))
+        n, stats = Engine(build_pair(p)).count()
         assert n == brute_force_count(p) == 36
         assert stats.cache_lookups > 0
         assert stats.cache_hit_pct > 0.0
@@ -179,14 +175,14 @@ def test_c07_scaling_smoke():
     with criterion(7, "chain(30) = 2^30 in < 1 s with <= 64 MiB cache; hybrid counts"):
         pair = build_pair(gen_choice_chain(30))
         t0 = time.perf_counter()
-        n, stats = count(pair, cache_limit_bytes=64 << 20)
+        n, stats = Engine(pair, cache_limit_bytes=64 << 20).count()
         wall = time.perf_counter() - t0
         assert n == 2**30 == 1073741824
         assert wall < 1.0
         assert stats.peak_cache_bytes <= 64 << 20
         assert stats.decisions < 1000  # decomposition, not enumeration
 
-        n, stats = hybrid_count(pair, threshold=100_000)
+        n, stats = Engine(pair).hybrid(threshold=100_000)
         assert n == 2**30
         assert stats.path == "counting"
 
@@ -196,8 +192,8 @@ def test_c08_hamiltonian_sanity():
         t0 = time.perf_counter()
         k4 = Graph(4, frozenset((u, v) for u in range(4) for v in range(4) if u != v))
         c3 = Graph(3, frozenset({(0, 1), (1, 2), (2, 0)}))
-        n_k4 = count(build_pair(gen_hamiltonian(k4)))[0]
-        n_c3 = count(build_pair(gen_hamiltonian(c3)))[0]
+        n_k4 = Engine(build_pair(gen_hamiltonian(k4))).count()[0]
+        n_c3 = Engine(build_pair(gen_hamiltonian(c3))).count()[0]
         assert n_k4 == graph_ham_count(k4) == 6
         assert n_c3 == graph_ham_count(c3) == 1
         assert time.perf_counter() - t0 < 5.0
@@ -205,13 +201,13 @@ def test_c08_hamiltonian_sanity():
 
 def test_c09_ablation_metrics():
     with criterion(9, "runs report bcp_seconds, decisions, cache_hit_pct; 0 decisions on BCP-solved"):
-        n, stats = count(build_pair(parse_program(EXAMPLE1)))
+        n, stats = Engine(build_pair(parse_program(EXAMPLE1))).count()
         assert n == 2
         assert stats.bcp_time >= 0.0
         assert stats.decisions >= 1
         assert 0.0 <= stats.cache_hit_pct <= 100.0
 
-        n, stats = count(build_pair(parse_program("a.\nb :- a.\nc :- b, not d.")))
+        n, stats = Engine(build_pair(parse_program("a.\nb :- a.\nc :- b, not d."))).count()
         assert n == 1
         assert stats.decisions == 0
         assert stats.propagations > 0

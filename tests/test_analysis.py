@@ -1,12 +1,11 @@
 import random
 
 from aspcount import (
+    Engine,
     brute_force_count,
     build_dep_graph,
     build_pair,
     compute_loop_atoms,
-    count,
-    is_tight,
     parse_program,
 )
 from aspcount.analysis import DepGraph
@@ -22,14 +21,14 @@ def test_example1_dep_graph():
     assert graph.edges == {(c, a), (c, b), (c, d), (d, a), (d, b), (d, c)}
     info = compute_loop_atoms(graph)
     assert info.loop_atoms == {c, d}
-    assert not is_tight(info)
+    assert info.loop_atoms  # not tight
 
 
 def test_negative_bodies_contribute_no_edges():
     p = parse_program("a :- not b.\nb :- not a.")
     graph = build_dep_graph(p)
     assert graph.edges == frozenset()
-    assert is_tight(compute_loop_atoms(graph))
+    assert not compute_loop_atoms(graph).loop_atoms  # tight
 
 
 def test_self_loop():
@@ -49,7 +48,7 @@ def test_constraints_contribute_no_edges():
 
 def test_empty_program_tight():
     info = compute_loop_atoms(build_dep_graph(parse_program("")))
-    assert is_tight(info)
+    assert not info.loop_atoms  # tight
 
 
 def _on_cycle_brute_force(n, edges):
@@ -96,5 +95,5 @@ def test_tight_programs_have_empty_copy_cnf_and_plain_counts():
         if pair.copy_vars:
             continue
         assert len(pair.copy_clauses) == 0
-        assert count(pair)[0] == brute_force_count(p)
+        assert Engine(pair).count()[0] == brute_force_count(p)
         checked += 1

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from aspcount import (
+    Engine,
     Graph,
     brute_force_count,
     build_pair,
-    count,
     gen_choice_chain,
     gen_hamiltonian,
     gen_reachability,
@@ -21,7 +21,7 @@ from helpers import graph_ham_count, graph_reach_count
 
 
 def _count(program):
-    return count(build_pair(program))[0]
+    return Engine(build_pair(program)).count()[0]
 
 
 # -- choice chains -------------------------------------------------------------

@@ -186,6 +186,24 @@ def test_bad_numeric_option_is_usage_error(example1, capsys, argv):
     assert captured.err.startswith("usage error")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["translate", "{file}", "--stats", "json"], id="translate-stats"),
+        pytest.param(["oracle", "{file}", "--no-cache"], id="oracle-no-cache"),
+        pytest.param(["analyze", "{file}", "--cache-limit-mb", "3"], id="analyze-cache-limit"),
+        pytest.param(["gen", "--seed", "5", "chain", "2"], id="gen-seed"),
+    ],
+)
+def test_run_mode_option_elsewhere_is_usage_error(example1, capsys, argv):
+    # --stats, --no-cache, --cache-limit-mb and --seed belong to count,
+    # enumerate and hybrid only
+    assert run([a.format(file=example1) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error")
+
+
 def test_wall_seconds_includes_parsing(example1, capsys, monkeypatch):
     def slow_parse(text):
         time.sleep(0.05)

@@ -2,18 +2,13 @@
 agreement between the count, cache-off and enumeration modes, and the
 structural invariants of decompose that the exact cache key relies on."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspcount import Engine, ExactCount, build_pair, count, enumerate_up_to, parse_program
+from aspcount import Engine, ExactCount, build_pair, parse_program
 from aspcount.program import Constraint, Program, Rule, SymbolTable
 
 ENUM_LIMIT = 16
-
-# Engine() raises the process-wide recursion limit for its recursive search,
-# which Hypothesis reports after every example that builds a larger engine
-pytestmark = pytest.mark.filterwarnings("ignore:The recursion limit will not be reset")
 
 
 @st.composite
@@ -75,9 +70,9 @@ def block_programs(draw):
 def test_count_agrees_with_cache_off_and_enumeration(program):
     pair = build_pair(program)
     assert pair.copy_vars  # non-tight
-    n = count(pair)[0]
-    assert count(pair, use_cache=False)[0] == n
-    result = enumerate_up_to(pair, ENUM_LIMIT)
+    n = Engine(pair).count()[0]
+    assert Engine(pair, use_cache=False).count()[0] == n
+    result = Engine(pair).enumerate_up_to(ENUM_LIMIT)
     if isinstance(result, ExactCount):
         assert result.count == n
     else:
@@ -100,7 +95,7 @@ def _fibonacci(k: int) -> int:
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 60))
 def test_path_counts_are_fibonacci(n):
-    assert count(build_pair(parse_program(_path_text(n))))[0] == _fibonacci(n + 2)
+    assert Engine(build_pair(parse_program(_path_text(n)))).count()[0] == _fibonacci(n + 2)
 
 
 def _check_partition(eng, variables, clause_idxs, comps):

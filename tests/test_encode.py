@@ -2,15 +2,14 @@ import itertools
 import random
 
 from aspcount import (
+    Engine,
     brute_force_count,
     build_dep_graph,
     build_pair,
     compute_loop_atoms,
-    count,
     emit_dimacs,
     gen_choice_chain,
     is_answer_set,
-    is_tight,
     parse_program,
 )
 from aspcount.encode import neg_lit, pos_lit, var_of
@@ -91,7 +90,7 @@ def test_self_loop_keeps_cyclic_copy_clause():
         _clause(neg_lit(cp), pos_lit(0)),
         _clause(neg_lit(cp), pos_lit(cp)),
     }
-    assert count(pair)[0] == brute_force_count(p) == 1
+    assert Engine(pair).count()[0] == brute_force_count(p) == 1
 
 
 def test_build_pair_example1_invariants():
@@ -134,7 +133,7 @@ def test_variable_blocks_on_random_programs():
         assert {w[1]: [int(x) for x in w[2:]] for w in lines} == expected
         assert [w[1] for w in lines] == list(expected)  # in block order
 
-        tight = is_tight(compute_loop_atoms(build_dep_graph(p)))
+        tight = not compute_loop_atoms(build_dep_graph(p)).loop_atoms
         assert (not pair.copy_vars) == tight
         seen_aux += first > t.n_original
         seen_copy += n > first
@@ -152,7 +151,7 @@ def test_choice_chain_is_pure_completion():
     pair = build_pair(gen_choice_chain(20))
     assert len(pair.copy_clauses) == 0
     assert pair.n_vars == 40  # one-literal bodies need no auxiliaries
-    assert count(pair)[0] == 1 << 20
+    assert Engine(pair).count()[0] == 1 << 20
 
 
 def test_emit_dimacs_example1():
@@ -209,7 +208,5 @@ def test_answer_set_characterization_on_random_programs():
         pair = build_pair(p)
         for bits in range(1 << p.n_atoms):
             m = frozenset(a for a in range(p.n_atoms) if bits >> a & 1)
-            lhs = extends_to_completion_model(pair, p, m) and copy_clauses_discharge(
-                pair, m
-            )
+            lhs = extends_to_completion_model(pair, m) and copy_clauses_discharge(pair, m)
             assert lhs == is_answer_set(p, m)

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -10,10 +11,7 @@ from aspcount import (
     ResourceLimitError,
     brute_force_count,
     build_pair,
-    count,
-    enumerate_up_to,
     gen_choice_chain,
-    hybrid_count,
     parse_program,
     residual,
 )
@@ -65,7 +63,7 @@ def test_full_assignment_leaves_copy_component():
     ]
     assert len(copy_comps) == 1
     assert copy_comps[0].clause_idxs  # the cyclic support survives
-    assert eng._count_component(copy_comps[0]) == 0
+    assert eng._search(copy_comps) == 0  # no non-copy variable: a leaf, not an answer
 
 
 def test_conflict_on_contradictory_units():
@@ -95,8 +93,17 @@ def test_decide_none_on_copy_only_component():
     pair = build_pair(p)
     eng = Engine(pair)
     cp = sorted(pair.copy_vars)
-    copy_clauses = tuple(range(eng.g_start, len(eng.canon)))
+    copy_clauses = tuple(range(len(pair.completion), len(eng.canon)))
     assert eng.decide(Component(tuple(cp), copy_clauses)) is None
+
+
+def test_clause_free_component_doubles_per_free_non_copy():
+    from aspcount.engine import Component
+
+    pair = build_pair(parse_program(EXAMPLE1))
+    eng = Engine(pair)
+    # a and b free with every clause satisfied; a free copy adds no factor
+    assert eng._search([Component((0, 1, pair.vars.first_copy), ())]) == 4
 
 
 def test_decide_none_on_empty_component():
@@ -136,29 +143,29 @@ def test_free_variable_factors():
     text = "v :- not w.\nw :- not v.\nz1 :- not y1.\ny1 :- not z1.\n"
     text += "z2 :- not y2.\ny2 :- not z2.\n:- not v, not z1, not z2.\n:- v, not z1, not z2."
     p = parse_program(text)
-    assert count(build_pair(p))[0] == brute_force_count(p) == 6
+    assert Engine(build_pair(p)).count()[0] == brute_force_count(p) == 6
 
 
 # -- counting ------------------------------------------------------------------
 
 
 def test_count_example1():
-    assert count(_pair(EXAMPLE1))[0] == 2
+    assert Engine(_pair(EXAMPLE1)).count()[0] == 2
 
 
 def test_count_negation_pair():
-    assert count(_pair("a :- not b.\nb :- not a."))[0] == 2
+    assert Engine(_pair("a :- not b.\nb :- not a.")).count()[0] == 2
 
 
 def test_count_self_loop():
-    assert count(_pair("a :- a."))[0] == 1
+    assert Engine(_pair("a :- a.")).count()[0] == 1
 
 
 def test_count_matches_oracle_on_random_suite():
     rng = random.Random(101)
     for _ in range(300):
         p = random_program(rng)
-        assert count(build_pair(p))[0] == brute_force_count(p)
+        assert Engine(build_pair(p)).count()[0] == brute_force_count(p)
 
 
 def test_determinism_identity():
@@ -167,7 +174,7 @@ def test_determinism_identity():
         p = random_program(rng)
         pair = build_pair(p)
         x = rng.randrange(p.n_atoms)
-        total = count(pair)[0]
+        total = Engine(pair).count()[0]
         high = Engine(pair).count(assumptions=[pos_lit(x)])[0]
         low = Engine(pair).count(assumptions=[-pos_lit(x)])[0]
         assert total == high + low
@@ -179,9 +186,8 @@ def test_decomposition_identity():
         p1 = random_program(rng, max_atoms=5)
         p2 = random_program(rng, max_atoms=5)
         joined = disjoint_union(p1, p2)
-        assert count(build_pair(joined))[0] == count(build_pair(p1))[0] * count(
-            build_pair(p2)
-        )[0]
+        product = Engine(build_pair(p1)).count()[0] * Engine(build_pair(p2)).count()[0]
+        assert Engine(build_pair(joined)).count()[0] == product
 
 
 def test_cache_transparency():
@@ -189,7 +195,7 @@ def test_cache_transparency():
     for _ in range(120):
         p = random_program(rng)
         pair = build_pair(p)
-        assert count(pair)[0] == count(pair, use_cache=False)[0]
+        assert Engine(pair).count()[0] == Engine(pair, use_cache=False).count()[0]
 
 
 def test_cache_hits_on_duplicated_disjoint_gadget():
@@ -201,7 +207,7 @@ def test_cache_hits_on_duplicated_disjoint_gadget():
         ":- v{0}, not z{0}a, not z{0}b.\n"
     )
     p = parse_program(gadget.format(1) + gadget.format(2))
-    n, stats = count(build_pair(p))
+    n, stats = Engine(build_pair(p)).count()
     assert n == brute_force_count(p) == 36
     assert stats.cache_hits > 0
     assert stats.cache_hits <= stats.cache_lookups
@@ -214,7 +220,7 @@ def test_cache_key_tells_apart_components_with_equal_vars():
         "a :- not b.\nb :- not a.\nx :- not y.\ny :- not x.\n"
         "z :- not w.\nw :- not z.\n:- x, z, a.\n:- y, w.\n"
     )
-    assert count(build_pair(p))[0] == brute_force_count(p) == 5
+    assert Engine(build_pair(p)).count()[0] == brute_force_count(p) == 5
 
 
 def test_no_decisions_on_copy_vars(monkeypatch):
@@ -288,17 +294,17 @@ def test_conjunction_soundness():
 
 
 def test_enumerate_example1():
-    assert enumerate_up_to(_pair(EXAMPLE1), 10) == ExactCount(2)
+    assert Engine(_pair(EXAMPLE1)).enumerate_up_to(10) == ExactCount(2)
 
 
 def test_enumerate_chain20_exceeds():
-    result = enumerate_up_to(build_pair(gen_choice_chain(20)), 100_000)
+    result = Engine(build_pair(gen_choice_chain(20))).enumerate_up_to(100_000)
     assert isinstance(result, Exceeded)
     assert result.elapsed > 0
 
 
 def test_enumerate_unsatisfiable():
-    assert enumerate_up_to(_pair("a :- not a."), 5) == ExactCount(0)
+    assert Engine(_pair("a :- not a.")).enumerate_up_to(5) == ExactCount(0)
 
 
 def test_enumerate_matches_count():
@@ -306,31 +312,58 @@ def test_enumerate_matches_count():
     for _ in range(60):
         p = random_program(rng, max_atoms=5)
         pair = build_pair(p)
-        assert enumerate_up_to(pair, 1 << 16) == ExactCount(count(pair)[0])
+        assert Engine(pair).enumerate_up_to(1 << 16) == ExactCount(Engine(pair).count()[0])
+
+
+def test_enumerate_limit_is_inclusive():
+    pair = build_pair(gen_choice_chain(3))  # 8 answer sets
+    assert Engine(pair).enumerate_up_to(8) == ExactCount(8)
+    assert isinstance(Engine(pair).enumerate_up_to(7), Exceeded)
+    n, stats = Engine(pair).hybrid(threshold=8)
+    assert (n, stats.path) == (8, "enumeration")
+    n, stats = Engine(pair).hybrid(threshold=7)
+    assert (n, stats.path) == (8, "counting")
 
 
 def test_enumerate_limit_validation():
     with pytest.raises(ValueError):
-        enumerate_up_to(_pair("a."), 0)
+        Engine(_pair("a.")).enumerate_up_to(0)
 
 
 def test_hybrid_enumeration_path():
-    n, stats = hybrid_count(_pair(EXAMPLE1), threshold=100_000)
+    n, stats = Engine(_pair(EXAMPLE1)).hybrid(threshold=100_000)
     assert n == 2
     assert stats.path == "enumeration"
 
 
 def test_hybrid_counting_path():
     pair = build_pair(gen_choice_chain(8))
-    n, stats = hybrid_count(pair, threshold=10)
+    n, stats = Engine(pair).hybrid(threshold=10)
     assert n == 256
     assert stats.path == "counting"
 
 
 def test_hybrid_threshold_one():
-    n, stats = hybrid_count(_pair(EXAMPLE1), threshold=1)
+    n, stats = Engine(_pair(EXAMPLE1)).hybrid(threshold=1)
     assert n == 2
     assert stats.path == "counting"
+
+
+def test_search_depth_leaves_recursion_limit_alone():
+    # enumerating chain(1000) decides 1000 variables on one path
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        eng = Engine(build_pair(gen_choice_chain(1000)))
+        assert sys.getrecursionlimit() == 1000
+        assert isinstance(eng.enumerate_up_to(1), Exceeded)
+        assert sys.getrecursionlimit() == 1000
+        assert eng.count()[0] == 1 << 1000
+        assert sys.getrecursionlimit() == 1000
+        assert eng.hybrid(threshold=1)[0] == 1 << 1000
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 # -- resource limits & stats ---------------------------------------------------
@@ -383,14 +416,14 @@ def test_cache_eviction_keeps_counts_exact():
 
 
 def test_stats_zero_decisions_when_level0_solves():
-    n, stats = count(_pair("a.\nb :- a."))
+    n, stats = Engine(_pair("a.\nb :- a.")).count()
     assert n == 1
     assert stats.decisions == 0
     assert stats.propagations > 0
 
 
 def test_stats_fields_sane():
-    n, stats = count(_pair(EXAMPLE1))
+    n, stats = Engine(_pair(EXAMPLE1)).count()
     assert n == 2
     assert stats.cache_hits <= stats.cache_lookups
     assert stats.bcp_time >= 0.0
@@ -402,4 +435,4 @@ def test_seeded_tie_break_still_exact():
     for _ in range(40):
         p = random_program(rng)
         pair = build_pair(p)
-        assert count(pair, seed=7)[0] == count(pair)[0]
+        assert Engine(pair, seed=7).count()[0] == Engine(pair).count()[0]
