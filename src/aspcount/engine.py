@@ -28,10 +28,22 @@ with no external justification). When counting, a component with no clause
 left is worth a factor of 2 per free non-copy variable and 1 per free copy.
 A component's variables are sorted, so its non-copies are the prefix below
 `first_copy`.
+
+Branching reuses the walk: `decompose` also counts, per variable, its
+literals in its component's clauses, and `decide` takes the non-copy
+variable with the highest count. The counts are never stale when read:
+sibling components are variable-disjoint, and the search of one sibling
+backtracks before the next is branched on, so the assignment over a
+component's variables is still the one its `decompose` saw. Ties go to the
+variable nearest a centroid of a tree decomposition of the primal graph
+(built on the first `decide`), as in sharpSAT-TD (Korhonen & Jarvisalo,
+CP 2021), so a long chain is split in its middle rather than peeled from
+one end; remaining ties go to the smallest index, or to the seeded rng.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from array import array
 from bisect import bisect_left
@@ -130,7 +142,11 @@ class Engine:
         self._lit_pairs: list[tuple[tuple[int, int], ...]] = []
         self._clause_mark: list[int] = []
         self._var_mark: list[int] = []
+        self._score: list[int] = []
         self._stamp = 0
+        # decide's tie ranks, built by its first call from the literal pairs
+        self._tie: list[int] | None = None
+        self._tie_span = 0
 
         self.values = [-1] * self.n_vars
         self.trail: list[int] = []
@@ -149,8 +165,9 @@ class Engine:
         self._cache = OrderedDict()
         self._cache_bytes = 0
 
-    def assign(self, lit: int, decision: bool = False) -> bool:
-        """Returns False when lit contradicts the current assignment."""
+    def assign(self, lit: int) -> bool:
+        """Sets lit as a propagated literal; returns False when it
+        contradicts the current assignment."""
         v = abs(lit) - 1
         want = 1 if lit > 0 else 0
         cur = self.values[v]
@@ -158,10 +175,7 @@ class Engine:
             return cur == want
         self.values[v] = want
         self.trail.append(lit)
-        if decision:
-            self.stats.decisions += 1
-        else:
-            self.stats.propagations += 1
+        self.stats.propagations += 1
         return True
 
     def propagate(self) -> int | None:
@@ -241,7 +255,9 @@ class Engine:
         `clause_idxs`, in ascending order of their smallest variable.
         Unassigned variables in no such clause come back as free singletons.
         Needs a conflict-free propagation fixpoint: every unsatisfied clause
-        then has an unassigned variable, from which the walk reaches it."""
+        then has an unassigned variable, from which the walk reaches it.
+        Also sets `_score[w]`, for each variable w of each component, to the
+        number of w's literals in the component's clauses; `decide` reads it."""
         occ = self._occ
         if occ is None:
             occ = self._build_occurrences()
@@ -249,6 +265,7 @@ class Engine:
         values = self.values
         cmark = self._clause_mark
         vmark = self._var_mark
+        score = self._score
         self._stamp += 2
         live = self._stamp  # clause of the parent, not yet checked
         seen = live + 1  # clause checked, or variable reached
@@ -259,6 +276,7 @@ class Engine:
             if values[v] != -1 or vmark[v] == seen:
                 continue
             vmark[v] = seen
+            score[v] = 0
             cvars = [v]
             cids = []
             for u in cvars:  # grows while the walk reaches new variables
@@ -273,9 +291,13 @@ class Engine:
                     else:
                         cids.append(ci)
                         for w, _ in pairs:
-                            if vmark[w] != seen and values[w] == -1:
-                                vmark[w] = seen
-                                cvars.append(w)
+                            if values[w] == -1:
+                                if vmark[w] == seen:
+                                    score[w] += 1
+                                else:
+                                    vmark[w] = seen
+                                    score[w] = 1
+                                    cvars.append(w)
             cvars.sort()
             cids.sort()
             comps.append(Component(tuple(cvars), tuple(cids)))
@@ -293,36 +315,135 @@ class Engine:
         self._occ = occ
         self._clause_mark = [0] * len(self.canon)
         self._var_mark = [0] * self.n_vars
+        self._score = [0] * self.n_vars
         return occ
 
     def decide(self, comp: Component) -> int | None:
-        """Unassigned non-copy variable with the most occurrences in the
-        component's clauses; ties go to the smallest index (or the seeded
-        rng). Assigned variables are skipped, so only the clauses' residual
-        literals count."""
-        canon = self.canon
-        scores: dict[int, int] = {}
-        for ci in comp.clause_idxs:
-            for l in canon[ci]:
-                v = abs(l) - 1
-                scores[v] = scores.get(v, 0) + 1
+        """Non-copy variable of a component returned by `decompose` with the
+        most literals in the component's clauses, read from `_score`. Ties go
+        to the lowest tree-decomposition level (see `_build_tie`), then to
+        the smallest index; the seeded rng instead picks among the variables
+        tied on both score and level.
+
+        `_score` is current for every component the search passes here: it
+        was returned by the latest `decompose` to reach its variables (the
+        components of one split are variable-disjoint and each is searched
+        and backtracked before the next), and the assignment over its
+        variables has not changed since."""
         free = comp.vars[: bisect_left(comp.vars, self.first_copy)]
-        best = None
-        best_score = -1
-        for v in free:
-            if self.values[v] != -1:
-                continue
-            s = scores.get(v, 0)
-            if s > best_score:
-                best, best_score = v, s
-        if best is not None and self.rng is not None:
-            tied = [
-                v
-                for v in free
-                if self.values[v] == -1 and scores.get(v, 0) == best_score
-            ]
-            best = self.rng.choice(tied)
-        return best
+        if not free:
+            return None
+        score = self._score
+        tie = self._tie
+        if tie is None:
+            tie = self._build_tie()
+        span = self._tie_span
+        # one int per candidate, ordered by (score, -level, -index); the
+        # variable is its key modulo first_copy, negated
+        top = max([score[v] * span + tie[v] for v in free])
+        best = -top % self.first_copy
+        if self.rng is None:
+            return best
+        group = top + best
+        return self.rng.choice([v for v in free if score[v] * span + tie[v] + v == group])
+
+    def _build_tie(self) -> list[int]:
+        """Tie ranks from a tree decomposition of the primal graph of the
+        non-copy variables, as in Korhonen & Jarvisalo (CP 2021).
+
+        A min-degree elimination makes one bag per eliminated variable (it
+        and its neighbours at that moment); once the minimum degree is the
+        number of variables left minus one, the rest is a clique and forms
+        one last bag. A bag's parent is the bag of its first-eliminated other
+        member. Centroid decomposition of that forest gives each bag a level
+        (0 for each tree's centroid, one more per split), and a variable
+        takes the lowest level of the bags holding it, so the separators of
+        the largest pieces rank first. `_tie[v]` is -(level * first_copy + v)."""
+        n = self.first_copy
+        adj: list[set[int]] = [set() for _ in range(n)]
+        for pairs in self._lit_pairs:
+            vs = [w for w, _ in pairs if w < n]
+            for w in vs:
+                adj[w].update(vs)
+        for w in range(n):
+            adj[w].discard(w)
+
+        # min-degree elimination; bags[i] is the bag made by step i
+        pos = [-1] * n
+        bags: list[list[int]] = []
+        heap = [(len(adj[w]), w) for w in range(n)]
+        heapq.heapify(heap)
+        left = n
+        while heap:
+            d, w = heapq.heappop(heap)
+            if pos[w] != -1 or d != len(adj[w]):
+                continue  # eliminated, or its degree has changed since
+            if d == left - 1:
+                rest = [u for u in range(n) if pos[u] == -1]
+                for u in rest:
+                    pos[u] = len(bags)
+                bags.append(rest)
+                break
+            pos[w] = len(bags)
+            nbrs = adj[w]
+            bags.append([w, *nbrs])
+            for u in nbrs:
+                a = adj[u]
+                a.discard(w)
+                a.update(nbrs)
+                a.discard(u)
+                heapq.heappush(heap, (len(a), u))
+            left -= 1
+
+        # the elimination forest, then its centroid decomposition
+        # (n >= 1 here, so the loop above ended on the clique bag)
+        nb = len(bags)
+        tree: list[list[int]] = [[] for _ in range(nb)]
+        todo = [(nb - 1, 0)]  # (bag, level) per piece to split; the roots first
+        for i in range(nb - 1):
+            others = bags[i][1:]
+            if others:
+                up = min([pos[u] for u in others])
+                tree[i].append(up)
+                tree[up].append(i)
+            else:
+                todo.append((i, 0))
+        level = [-1] * nb  # -1 until the bag is a centroid
+        par = [-1] * nb  # parent within the piece being split
+        size = [1] * nb  # subtree size within that piece
+        while todo:
+            root, lev = todo.pop()
+            par[root] = -1
+            size[root] = 1
+            order = [root]
+            for b in order:  # the piece of the forest still holding root
+                for c in tree[b]:
+                    if level[c] == -1 and c != par[b]:
+                        par[c] = b
+                        size[c] = 1
+                        order.append(c)
+            for b in reversed(order):
+                if b != root:
+                    size[par[b]] += size[b]
+            half = len(order) // 2
+            centroid = root
+            while True:  # step into the child holding over half, if any
+                for c in tree[centroid]:
+                    if level[c] == -1 and par[c] == centroid and size[c] > half:
+                        centroid = c
+                        break
+                else:
+                    break
+            level[centroid] = lev
+            todo.extend((c, lev + 1) for c in tree[centroid] if level[c] == -1)
+        var_level = [nb] * n
+        for i, bag in enumerate(bags):
+            for u in bag:
+                if level[i] < var_level[u]:
+                    var_level[u] = level[i]
+        self._tie_span = (max(var_level, default=0) + 1) * n
+        self._tie = [-(var_level[v] * n + v) for v in range(n)]
+        return self._tie
 
     # -- search ------------------------------------------------------------
 
@@ -437,8 +558,10 @@ class Engine:
                     n_free = bisect_left(sub.vars, first_copy)
                     v = decide(sub) if n_free and sub.clause_idxs else None
                 else:
+                    # every variable up to the frame's own branch variable,
+                    # trail[mark], was assigned when the frame was opened
                     n_free = 0
-                    for v in sub.vars:
+                    for v in sub.vars[abs(trail[mark]) if comp is not None else 0 :]:
                         if values[v] == -1:
                             break
                     else:

@@ -19,6 +19,14 @@ e :- not a, not b.
 """
 
 
+def path_text(n: int) -> str:
+    """path(n): n negation pairs x_i/y_i joined by `:- x_i, x_{i+1}.`;
+    Fibonacci(n + 2) answer sets."""
+    lines = [f"x{i} :- not y{i}.\ny{i} :- not x{i}." for i in range(n)]
+    lines += [f":- x{i}, x{i + 1}." for i in range(n - 1)]
+    return "\n".join(lines) + "\n"
+
+
 def random_program(rng: random.Random, max_atoms=8, max_rules=14) -> Program:
     """Small random program; roughly half the draws get a seeded positive
     cycle so non-tight cases stay plentiful."""

@@ -1,12 +1,27 @@
 """Checks past the brute-force oracle's 24-atom cap: closed-form counts,
 agreement between the count, cache-off and enumeration modes, and the
-structural invariants of decompose that the exact cache key relies on."""
+invariants of decompose that the exact cache key and decide rely on."""
 
+import math
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspcount import Engine, ExactCount, build_pair, parse_program
+from aspcount import (
+    Engine,
+    ExactCount,
+    build_pair,
+    gen_hamiltonian,
+    gen_reachability,
+    parse_program,
+    random_graph,
+)
+from aspcount.benchgen import Graph
 from aspcount.program import Constraint, Program, Rule, SymbolTable
+
+from helpers import graph_reach_count, path_text
 
 ENUM_LIMIT = 16
 
@@ -79,12 +94,6 @@ def test_count_agrees_with_cache_off_and_enumeration(program):
         assert n > ENUM_LIMIT
 
 
-def _path_text(n: int) -> str:
-    lines = [f"x{i} :- not y{i}.\ny{i} :- not x{i}." for i in range(n)]
-    lines += [f":- x{i}, x{i + 1}." for i in range(n - 1)]
-    return "\n".join(lines) + "\n"
-
-
 def _fibonacci(k: int) -> int:
     a, b = 0, 1
     for _ in range(k):
@@ -95,7 +104,7 @@ def _fibonacci(k: int) -> int:
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 60))
 def test_path_counts_are_fibonacci(n):
-    assert Engine(build_pair(parse_program(_path_text(n)))).count()[0] == _fibonacci(n + 2)
+    assert Engine(build_pair(parse_program(path_text(n)))).count()[0] == _fibonacci(n + 2)
 
 
 def _check_partition(eng, variables, clause_idxs, comps):
@@ -131,34 +140,88 @@ def _check_partition(eng, variables, clause_idxs, comps):
         assert reached == owned
 
 
-@settings(max_examples=40, deadline=None)
-@given(block_programs(), st.lists(st.integers(0, 99), max_size=12), st.booleans())
-def test_decompose_partitions_parent(program, picks, phase):
-    pair = build_pair(program)
-    eng = Engine(pair)
+def _engine_at_fixpoint(program, picks, phase):
+    """An engine at the conflict-free fixpoint reached by setting the
+    non-copy variables among `picks` in alternating phases (skipping any
+    that conflict), or None when level 0 already conflicts."""
+    eng = Engine(build_pair(program))
     if not eng._apply_initial():
-        return
+        return None
     for v in picks:
         if v >= eng.first_copy or eng.values[v] != -1:
             continue
         mark = len(eng.trail)
-        eng.assign(v + 1 if phase else -(v + 1), decision=True)
+        eng.assign(v + 1 if phase else -(v + 1))
         if eng.propagate() is not None:
             eng.backtrack(mark)
         phase = not phase
+    return eng
 
+
+def _splits(eng):
+    """(variables, clause ids, decompose's components) for the whole
+    formula, then one level down: after branching on decide's pick in the
+    component with the most clauses."""
     everything = range(len(eng.canon))
     comps = eng.decompose(range(eng.n_vars), everything)
-    _check_partition(eng, range(eng.n_vars), everything, comps)
-
-    # one level down: branch inside the largest component and split it
+    yield range(eng.n_vars), everything, comps
     parent = max(comps, key=lambda c: len(c.clause_idxs), default=None)
     if parent is None or not parent.clause_idxs:
         return
     v = eng.decide(parent)
     if v is None:
         return
-    eng.assign(v + 1, decision=True)
+    eng.assign(v + 1)
     if eng.propagate() is None:
-        subs = eng.decompose(parent.vars, parent.clause_idxs)
-        _check_partition(eng, parent.vars, parent.clause_idxs, subs)
+        yield parent.vars, parent.clause_idxs, eng.decompose(parent.vars, parent.clause_idxs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_programs(), st.lists(st.integers(0, 99), max_size=12), st.booleans())
+def test_decompose_partitions_parent(program, picks, phase):
+    eng = _engine_at_fixpoint(program, picks, phase)
+    if eng is None:
+        return
+    for variables, clause_idxs, comps in _splits(eng):
+        _check_partition(eng, variables, clause_idxs, comps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_programs(), st.lists(st.integers(0, 99), max_size=12), st.booleans())
+def test_decompose_scores_match_recount(program, picks, phase):
+    eng = _engine_at_fixpoint(program, picks, phase)
+    if eng is None:
+        return
+    for _, _, comps in _splits(eng):
+        for c in comps:
+            recount = {v: 0 for v in c.vars}
+            for ci in c.clause_idxs:
+                for l in eng.canon[ci]:
+                    if abs(l) - 1 in recount:
+                        recount[abs(l) - 1] += 1
+            assert {v: eng._score[v] for v in c.vars} == recount
+            # and decide picks a non-copy variable of the highest score
+            free = [v for v in c.vars if v < eng.first_copy]
+            v = eng.decide(c)
+            if free:
+                assert v in free and recount[v] == max(recount[u] for u in free)
+            else:
+                assert v is None
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_complete_digraph_has_factorial_hamiltonian_cycles(n):
+    g = Graph(n, frozenset((u, v) for u in range(n) for v in range(n) if u != v))
+    assert Engine(build_pair(gen_hamiltonian(g))).count()[0] == math.factorial(n - 1)
+
+
+def test_reach_matches_graph_count_on_38_atoms():
+    rng = random.Random(1438)
+    for k in range(20):
+        g = random_graph(14, rng.randint(26, 36), seed=rng.randrange(10**6))
+        program = gen_reachability(g, 0, 13)
+        assert program.n_atoms == 38
+        pair = build_pair(program)
+        want = graph_reach_count(g, 0, 13)
+        assert Engine(pair).count()[0] == want
+        assert Engine(pair, seed=k).count()[0] == want

@@ -17,7 +17,7 @@ from aspcount import (
 )
 from aspcount.encode import Cnf, pos_lit
 
-from helpers import EXAMPLE1, disjoint_union, random_program
+from helpers import EXAMPLE1, disjoint_union, path_text, random_program
 
 
 def _pair(text):
@@ -111,6 +111,25 @@ def test_decide_none_on_empty_component():
 
     eng = Engine(_pair("a."))
     assert eng.decide(Component((), ())) is None
+
+
+def test_decide_starts_path_in_its_middle_third():
+    program = parse_program(path_text(301))
+    eng = Engine(build_pair(program))
+    assert eng._apply_initial()
+    (root,) = eng.decompose(range(eng.n_vars), range(len(eng.canon)))
+    # x_i or y_i; the lowest-index tie-break alone would pick x_1
+    i = int(program.symbol(eng.decide(root))[1:])
+    assert 100 <= i <= 200
+
+
+def test_tie_ranks_are_built_by_counting_only():
+    eng = Engine(_pair(path_text(10)))
+    assert eng._tie is None
+    assert eng.enumerate_up_to(1000) == ExactCount(144)
+    assert eng._tie is None
+    assert eng.count()[0] == 144
+    assert eng._tie is not None
 
 
 def test_decompose_disjoint_copies():
