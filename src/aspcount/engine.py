@@ -1,8 +1,7 @@
 """Component-caching counter over the conjoined completion and copy clauses.
 
 Search skeleton: decide an unassigned non-copy variable, propagate each
-branch to fixpoint (two watched literals over mutable copies of the
-clauses), split the parent component's unsatisfied clauses into
+branch to fixpoint, split the parent component's unsatisfied clauses into
 variable-disjoint components, count each component through an exact-key
 LRU cache, multiply, and sum the branches. The search is one loop over an
 explicit stack of frames, one per component being branched on, so its depth
@@ -19,6 +18,16 @@ is exact: a surviving clause is unsatisfied and all its assigned literals
 are false, so its residual is exactly its canonical literals restricted to
 the component's variables; equal keys therefore mean identical residual
 subformulas over identically-flagged variables.
+
+The assignment is one array indexed by literal, as in MiniSat (Een &
+Sorensson, SAT 2003): `lit_value[lit + n_vars]` is 1 (true), 0 (false) or
+-1 (unassigned), and assigning or unassigning a literal writes the slots of
+both polarities, so no literal test needs its variable or its sign.
+Propagation works on the same slots. Binary clauses, most of each encoding,
+are per-literal implication lists, as in sharpSAT (Thurley, SAT 2006);
+clauses of three or more literals keep two watched literals over mutable
+slot copies. For each literal made false, `propagate` walks its
+implications first, then its watches.
 
 Copy variables, the block from `first_copy` up (see `encode.VarTable`),
 are propagated but never decided and never enumerated. One leaf test serves
@@ -109,23 +118,38 @@ class Engine:
         seed: int | None = None,
         budget: float | None = None,
     ):
-        self.n_vars = pair.n_vars
+        self.n_vars = n = pair.n_vars
         self.first_copy = pair.vars.first_copy
-        # canonical tuples for scanning; propagate swaps literals in the
-        # mutable lists to keep its two watches in front
         self.canon = pair.completion.clauses + pair.copy_clauses.clauses
-        self.clauses = [list(c) for c in self.canon]
         # enumeration's one component: every non-copy variable, copy clauses
         self._enum_root = Component(
             range(self.first_copy), range(len(pair.completion), len(self.canon))
         )
         self._has_empty_clause = any(not c for c in self.canon)
         self._unit_lits = [c[0] for c in self.canon if len(c) == 1]
-        self.watches: list[list[int]] = [[] for _ in range(2 * self.n_vars + 1)]
-        for ci, c in enumerate(self.clauses):
-            if len(c) >= 2:
-                self.watches[c[0] + self.n_vars].append(ci)
-                self.watches[c[1] + self.n_vars].append(ci)
+        # A literal l has the slot l + n_vars, in `lit_value` and here.
+        # Indexed by the slot of a literal made false: the (implied slot,
+        # clause id) of each binary clause holding it, and the ids of the
+        # long clauses (three or more literals) that watch it. clauses[ci]
+        # is long clause ci as slots, watches in front (propagate swaps
+        # them), or None for a shorter clause.
+        implied: list[list[tuple[int, int]]] = [[] for _ in range(2 * n + 1)]
+        watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        clauses: list[list[int] | None] = []
+        for ci, c in enumerate(self.canon):
+            long = None
+            if len(c) == 2:
+                a, b = c
+                implied[a + n].append((b + n, ci))
+                implied[b + n].append((a + n, ci))
+            elif len(c) > 2:
+                long = [l + n for l in c]
+                watches[long[0]].append(ci)
+                watches[long[1]].append(ci)
+            clauses.append(long)
+        self.implied = implied
+        self.watches = watches
+        self.clauses = clauses
 
         self.use_cache = use_cache
         self.cache_limit_bytes = cache_limit_bytes
@@ -148,92 +172,117 @@ class Engine:
         self._tie: list[int] | None = None
         self._tie_span = 0
 
-        self.values = [-1] * self.n_vars
+        self.reset()
+
+    # -- assignment & propagation ------------------------------------------
+
+    def reset(self):
+        """A fresh empty assignment, trail, statistics and cache."""
+        self.lit_value = [-1] * (2 * self.n_vars + 1)
         self.trail: list[int] = []
         self.qhead = 0
         self.stats = RunStats()
         self._cache: OrderedDict[bytes, int] = OrderedDict()
         self._cache_bytes = 0
 
-    # -- assignment & propagation ------------------------------------------
-
-    def reset(self):
-        self.values = [-1] * self.n_vars
-        self.trail = []
-        self.qhead = 0
-        self.stats = RunStats()
-        self._cache = OrderedDict()
-        self._cache_bytes = 0
-
     def assign(self, lit: int) -> bool:
-        """Sets lit as a propagated literal; returns False when it
-        contradicts the current assignment."""
-        v = abs(lit) - 1
-        want = 1 if lit > 0 else 0
-        cur = self.values[v]
+        """Sets lit as a propagated literal, writing both its slot and its
+        negation's in `lit_value`; returns False when it contradicts the
+        current assignment."""
+        value = self.lit_value
+        n = self.n_vars
+        cur = value[n + lit]
         if cur != -1:
-            return cur == want
-        self.values[v] = want
+            return cur == 1
+        value[n + lit] = 1
+        value[n - lit] = 0
         self.trail.append(lit)
         self.stats.propagations += 1
         return True
 
     def propagate(self) -> int | None:
-        """Unit propagation to fixpoint; returns a falsified clause index or None."""
+        """Unit propagation to fixpoint; returns a falsified clause id or None.
+
+        For each trail literal from `qhead` on, the slot of its negation is
+        visited: its binary implications first, then the clauses of three or
+        more literals watching it, whose other watch is moved to a literal
+        not yet false where one exists."""
         t0 = time.perf_counter()
-        values = self.values
+        value = self.lit_value
+        implied = self.implied
         watches = self.watches
         clauses = self.clauses
         trail = self.trail
         n = self.n_vars
+        n2 = 2 * n  # slot of -lit is n2 minus the slot of lit
+        qhead = self.qhead
+        found = 0
         conflict = None
-        while self.qhead < len(trail):
-            lit = trail[self.qhead]
-            self.qhead += 1
-            fl = -lit
-            wl = watches[fl + n]
-            i = 0
-            while i < len(wl):
-                ci = wl[i]
-                clause = clauses[ci]
-                if clause[0] == fl:
-                    clause[0], clause[1] = clause[1], clause[0]
-                other = clause[0]
-                oval = values[abs(other) - 1]
-                if oval == (1 if other > 0 else 0):
-                    i += 1
-                    continue
-                moved = False
-                for j in range(2, len(clause)):
-                    l2 = clause[j]
-                    v2 = values[abs(l2) - 1]
-                    if v2 == -1 or v2 == (1 if l2 > 0 else 0):
-                        clause[1], clause[j] = l2, clause[1]
-                        wl[i] = wl[-1]
-                        wl.pop()
-                        watches[l2 + n].append(ci)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                if oval == -1:
-                    values[abs(other) - 1] = 1 if other > 0 else 0
-                    trail.append(other)
-                    self.stats.propagations += 1
-                    i += 1
-                else:
+        while qhead < len(trail):
+            f = n - trail[qhead]  # the slot just made false
+            qhead += 1
+            for s, ci in implied[f]:
+                x = value[s]
+                if x == -1:
+                    value[s] = 1
+                    value[n2 - s] = 0
+                    trail.append(s - n)
+                    found += 1
+                elif not x:
                     conflict = ci
                     break
             if conflict is not None:
                 break
+            wl = watches[f]
+            i = 0
+            end = len(wl)
+            while i < end:
+                ci = wl[i]
+                clause = clauses[ci]
+                if clause[0] == f:
+                    clause[0] = clause[1]
+                    clause[1] = f
+                other = clause[0]
+                x = value[other]
+                if x == 1:
+                    i += 1
+                    continue
+                for j in range(2, len(clause)):
+                    s = clause[j]
+                    if value[s]:  # unassigned (-1) or true (1)
+                        clause[1] = s
+                        clause[j] = f
+                        end -= 1
+                        wl[i] = wl[end]
+                        wl.pop()
+                        watches[s].append(ci)
+                        break
+                else:
+                    if x:  # unassigned: the clause is unit
+                        value[other] = 1
+                        value[n2 - other] = 0
+                        trail.append(other - n)
+                        found += 1
+                        i += 1
+                    else:
+                        conflict = ci
+                        break
+            if conflict is not None:
+                break
+        self.qhead = qhead
+        self.stats.propagations += found
         self.stats.bcp_time += time.perf_counter() - t0
         return conflict
 
     def backtrack(self, mark: int):
-        values = self.values
+        """Unassigns every trail literal from `mark` on, both slots of each."""
+        value = self.lit_value
+        n = self.n_vars
         trail = self.trail
-        while len(trail) > mark:
-            values[abs(trail.pop()) - 1] = -1
+        for lit in trail[mark:]:
+            value[n + lit] = -1
+            value[n - lit] = -1
+        del trail[mark:]
         self.qhead = mark
 
     def _apply_initial(self, assumptions=()) -> bool:
@@ -262,10 +311,11 @@ class Engine:
         if occ is None:
             occ = self._build_occurrences()
         lit_pairs = self._lit_pairs
-        values = self.values
+        value = self.lit_value
         cmark = self._clause_mark
         vmark = self._var_mark
         score = self._score
+        pos = self.n_vars + 1  # variable v's literal v + 1 has the slot pos + v
         self._stamp += 2
         live = self._stamp  # clause of the parent, not yet checked
         seen = live + 1  # clause checked, or variable reached
@@ -273,7 +323,7 @@ class Engine:
             cmark[ci] = live
         comps = []
         for v in variables:
-            if values[v] != -1 or vmark[v] == seen:
+            if value[pos + v] != -1 or vmark[v] == seen:
                 continue
             vmark[v] = seen
             score[v] = 0
@@ -285,13 +335,13 @@ class Engine:
                         continue
                     cmark[ci] = seen
                     pairs = lit_pairs[ci]
-                    for w, true_val in pairs:
-                        if values[w] == true_val:
+                    for _, s in pairs:
+                        if value[s] == 1:
                             break  # satisfied
                     else:
                         cids.append(ci)
-                        for w, _ in pairs:
-                            if values[w] == -1:
+                        for w, s in pairs:
+                            if value[s] == -1:
                                 if vmark[w] == seen:
                                     score[w] += 1
                                 else:
@@ -304,11 +354,10 @@ class Engine:
         return comps
 
     def _build_occurrences(self) -> list[list[int]]:
-        # (variable, value that makes the literal true) per canonical literal
-        self._lit_pairs = [
-            tuple((abs(l) - 1, 1 if l > 0 else 0) for l in c) for c in self.canon
-        ]
-        occ: list[list[int]] = [[] for _ in range(self.n_vars)]
+        # (variable, literal slot) per canonical literal
+        n = self.n_vars
+        self._lit_pairs = [tuple((abs(l) - 1, l + n) for l in c) for c in self.canon]
+        occ: list[list[int]] = [[] for _ in range(n)]
         for ci, pairs in enumerate(self._lit_pairs):
             for w, _ in pairs:
                 occ[w].append(ci)
@@ -448,8 +497,14 @@ class Engine:
     # -- search ------------------------------------------------------------
 
     def count(self, assumptions=()) -> tuple[int, RunStats]:
-        """Exact answer-set count. Resets search state (cache included); the
-        time budget runs from this call."""
+        """Exact answer-set count of the models that make every assumption
+        literal true. Resets search state (cache included); the time budget
+        runs from this call."""
+        assumptions = tuple(assumptions)
+        for lit in assumptions:
+            # a literal outside +-1..n_vars would index some other slot
+            if not 0 < abs(lit) <= self.n_vars:
+                raise ValueError(f"assumption {lit} is not a literal of this formula")
         self._arm_deadline()
         return self._count(assumptions)
 
@@ -492,11 +547,12 @@ class Engine:
     def _leaf_value(self, clause_idxs) -> int:
         """1 if none of the clauses is unsatisfied, else 0 (a loop with no
         external justification); asked once no non-copy variable is left."""
-        values = self.values
+        value = self.lit_value
+        n = self.n_vars
         canon = self.canon
         for ci in clause_idxs:
             for l in canon[ci]:
-                if values[abs(l) - 1] == (1 if l > 0 else 0):
+                if value[n + l] == 1:
                     break
             else:
                 return 0
@@ -515,7 +571,9 @@ class Engine:
         returns None as soon as more than `limit` leaves are answers."""
         counting = limit is None
         caching = counting and self.use_cache
-        values = self.values
+        value = self.lit_value
+        n = self.n_vars
+        pos = n + 1  # slot of variable 0's literal 1
         trail = self.trail
         stats = self.stats
         first_copy = self.first_copy
@@ -558,13 +616,16 @@ class Engine:
                     n_free = bisect_left(sub.vars, first_copy)
                     v = decide(sub) if n_free and sub.clause_idxs else None
                 else:
-                    # every variable up to the frame's own branch variable,
-                    # trail[mark], was assigned when the frame was opened
+                    # the lowest unassigned variable: the one component holds
+                    # every non-copy variable v, whose literal v + 1 has the
+                    # slot pos + v, and every variable up to the frame's own
+                    # branch variable, trail[mark], was assigned when the
+                    # frame was opened
                     n_free = 0
-                    for v in sub.vars[abs(trail[mark]) if comp is not None else 0 :]:
-                        if values[v] == -1:
-                            break
-                    else:
+                    start = abs(trail[mark]) if comp is not None else 0
+                    try:
+                        v = value.index(-1, pos + start, pos + first_copy) - pos
+                    except ValueError:
                         v = None
                 if v is None:
                     val = leaf_value(sub.clause_idxs) << n_free
@@ -581,7 +642,6 @@ class Engine:
                 mark = len(trail)
                 lit = v + 1
                 pending = -lit
-                values[v] = 1
             elif comp is None:
                 return prod
             else:
@@ -596,8 +656,9 @@ class Engine:
                     continue
                 lit = pending
                 pending = 0
-                values[-lit - 1] = 0
-            # a branch literal was just set: propagate, then open the branch
+            # set the branch literal, propagate, then open the branch
+            value[n + lit] = 1
+            value[n - lit] = 0
             trail.append(lit)
             stats.decisions += 1
             if propagate() is None:

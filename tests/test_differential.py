@@ -1,6 +1,8 @@
 """Checks past the brute-force oracle's 24-atom cap: closed-form counts,
-agreement between the count, cache-off and enumeration modes, and the
-invariants of decompose that the exact cache key and decide rely on."""
+agreement between the count, cache-off and enumeration modes and between
+a count and its split on one variable, propagation against a naive
+unit-resolution closure, and the invariants of decompose that the exact
+cache key and decide rely on."""
 
 import math
 import random
@@ -19,6 +21,7 @@ from aspcount import (
     random_graph,
 )
 from aspcount.benchgen import Graph
+from aspcount.encode import Cnf, PairFormula, VarTable
 from aspcount.program import Constraint, Program, Rule, SymbolTable
 
 from helpers import graph_reach_count, path_text
@@ -94,6 +97,101 @@ def test_count_agrees_with_cache_off_and_enumeration(program):
         assert n > ENUM_LIMIT
 
 
+@settings(max_examples=40, deadline=None)
+@given(block_programs(), st.integers(0, 10**6))
+def test_count_is_sum_of_split_on_one_variable(program, pick):
+    pair = build_pair(program)
+    x = pick % pair.vars.first_copy + 1  # a non-copy variable, as a literal
+    for use_cache in (True, False):
+        eng = Engine(pair, use_cache=use_cache)
+        n = eng.count()[0]
+        assert eng.count([x])[0] + eng.count([-x])[0] == n
+
+
+@st.composite
+def clause_sets(draw):
+    """(variable count, clauses, assumption literals). The clauses mix
+    units, binaries, tautological binary copy clauses (x or not x, which
+    copy_operation keeps from self-loop rules) and clauses of 3-4 literals,
+    drawn from a seeded rng so that assumptions often end in a conflict."""
+    n = draw(st.integers(3, 8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def lit():
+        v = rng.randint(1, n)
+        return v if rng.random() < 0.5 else -v
+
+    cnf = Cnf()
+    for kind in rng.choices("ubtl", weights=(1, 8, 1, 12), k=rng.randint(n, 4 * n)):
+        if kind == "t":
+            v = rng.randint(1, n)
+            cnf.add((v, -v), keep_tautology=True)
+        else:
+            size = {"u": 1, "b": 2, "l": rng.randint(3, 4)}[kind]
+            cnf.add([lit() for _ in range(size)], keep_tautology=True)
+    return n, cnf, [lit() for _ in range(rng.randint(1, n))]
+
+
+def _closure(clauses, true):
+    """Naive unit resolution from the set of true literals `true`: the
+    closure, or None when some clause ends up with every literal false."""
+    true = set(true)
+    grew = True
+    while grew:
+        grew = False
+        for c in clauses:
+            if any(l in true for l in c):
+                continue
+            open_lits = [l for l in c if -l not in true]
+            if not open_lits:
+                return None
+            if len(open_lits) == 1:
+                true.add(open_lits[0])
+                grew = True
+    return true
+
+
+@settings(max_examples=200, deadline=None)
+@given(clause_sets())
+def test_propagate_matches_naive_closure(formula):
+    n, cnf, assumptions = formula
+    eng = Engine(PairFormula(cnf, Cnf(), VarTable(n)))
+    value = eng.lit_value
+
+    def true_lits():
+        lits = {l for l in range(-n, n + 1) if l and value[n + l] == 1}
+        for v in range(1, n + 1):  # both slots of each variable agree
+            assert value[n + v] == -1 == value[n - v] or value[n + v] + value[n - v] == 1
+        assert lits == set(eng.trail)
+        return lits
+
+    closure = _closure(cnf.clauses, ())
+    assert eng._apply_initial() == (closure is not None)
+    if closure is None:
+        return
+    assert true_lits() == closure
+    saved = []  # (mark, lit_value at mark) per assumption kept
+    for lit in assumptions:
+        mark = len(eng.trail)
+        before = list(value)
+        if not eng.assign(lit):
+            assert -lit in true_lits()
+            continue
+        closure = _closure(cnf.clauses, true_lits())
+        conflict = eng.propagate()
+        assert (conflict is None) == (closure is not None)
+        if conflict is None:
+            assert true_lits() == closure
+            saved.append((mark, before))
+        else:
+            assert all(value[n + l] == 0 for l in eng.canon[conflict])
+            eng.backtrack(mark)
+            assert value == before and len(eng.trail) == mark
+    for mark, before in reversed(saved):
+        eng.backtrack(mark)
+        assert value == before and len(eng.trail) == mark
+
+
 def _fibonacci(k: int) -> int:
     a, b = 0, 1
     for _ in range(k):
@@ -108,12 +206,10 @@ def test_path_counts_are_fibonacci(n):
 
 
 def _check_partition(eng, variables, clause_idxs, comps):
-    values = eng.values
-    unassigned = [v for v in variables if values[v] == -1]
+    value, n = eng.lit_value, eng.n_vars
+    unassigned = [v for v in variables if value[n + v + 1] == -1]
     unsatisfied = [
-        ci
-        for ci in clause_idxs
-        if not any(values[abs(l) - 1] == (l > 0) for l in eng.canon[ci])
+        ci for ci in clause_idxs if not any(value[n + l] == 1 for l in eng.canon[ci])
     ]
     assert sorted(v for c in comps for v in c.vars) == unassigned
     assert sorted(ci for c in comps for ci in c.clause_idxs) == unsatisfied
@@ -126,7 +222,7 @@ def _check_partition(eng, variables, clause_idxs, comps):
         owned = set(c.vars)
         for ci in c.clause_idxs:
             for l in eng.canon[ci]:
-                assert abs(l) - 1 in owned or values[abs(l) - 1] == (l < 0)
+                assert abs(l) - 1 in owned or value[n + l] == 0
         # and the component is connected through its clauses
         reached = {c.vars[0]}
         grew = True
@@ -148,7 +244,7 @@ def _engine_at_fixpoint(program, picks, phase):
     if not eng._apply_initial():
         return None
     for v in picks:
-        if v >= eng.first_copy or eng.values[v] != -1:
+        if v >= eng.first_copy or eng.lit_value[eng.n_vars + v + 1] != -1:
             continue
         mark = len(eng.trail)
         eng.assign(v + 1 if phase else -(v + 1))

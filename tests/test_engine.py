@@ -34,10 +34,19 @@ def test_propagate_example1_after_b():
     a, b, c, d, e = range(5)
     assert eng.assign(pos_lit(b))
     assert eng.propagate() is None
-    assert eng.values[a] == 0
-    assert eng.values[e] == 0
-    assert eng.values[c] == -1
-    assert eng.values[d] == -1
+    n = eng.n_vars
+    assert eng.lit_value[n + pos_lit(a)] == 0
+    assert eng.lit_value[n + pos_lit(e)] == 0
+    assert eng.lit_value[n + pos_lit(c)] == -1
+    assert eng.lit_value[n + pos_lit(d)] == -1
+
+
+def test_count_rejects_assumptions_outside_the_formula():
+    eng = Engine(_pair("a :- not b.\nb :- not a."))
+    assert eng.count([pos_lit(0)])[0] == eng.count([-pos_lit(1)])[0] == 1
+    for lit in (0, eng.n_vars + 1, -eng.n_vars - 1):
+        with pytest.raises(ValueError):
+            eng.count([lit])
 
 
 def test_propagate_detects_false_unit():
