@@ -123,6 +123,7 @@ def _report(args, answer_count, stats: RunStats, wall, program, pair):
         "cache_hits": stats.cache_hits,
         "cache_hit_pct": stats.cache_hit_pct,
         "cache_entries": stats.cache_entries,
+        "peak_cache_bytes": stats.peak_cache_bytes,
         "wall_seconds": wall,
         "tight": n_copy_vars == 0,
         "n_atoms": program.n_atoms,

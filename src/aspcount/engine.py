@@ -10,33 +10,39 @@ component, every non-copy variable and the copy clauses, with no cache and
 no decomposition, branching on the lowest unassigned variable and stopping
 once more than `limit` leaves are answers.
 
-A component is (vars, clause ids): its sorted unassigned variables and the
-ascending ids of its unsatisfied clauses. `decompose` finds components by
-walking per-variable occurrence lists over the immutable canonical clauses,
-restricted to the parent's clause ids. The cache key is that pair, and it
-is exact: a surviving clause is unsatisfied and all its assigned literals
-are false, so its residual is exactly its canonical literals restricted to
-the component's variables; equal keys therefore mean identical residual
-subformulas over identically-flagged variables.
+A component is (vars, listed clause ids): its sorted unassigned variables
+and the ascending ids of its unsatisfied listed clauses. Listed clauses are
+those of three or more literals plus the tautological binaries `x | -x`
+(kept from self-loop rules by `encode.copy_operation`). Every other binary
+clause is implied by the variables, as in sharpSAT (Thurley, SAT 2006): at
+a conflict-free fixpoint it is unsatisfied exactly when both its variables
+are unassigned. `decompose` finds components by walking, from each reached
+variable, its binary neighbours and the occurrence lists of its listed
+clauses. The cache key is that pair, and it is exact: equal variable sets
+hold the same unsatisfied binary clauses, and a listed clause in the key is
+unsatisfied with all its assigned literals false, so its residual is its
+canonical literals restricted to the component's variables.
 
 The assignment is one array indexed by literal, as in MiniSat (Een &
 Sorensson, SAT 2003): `lit_value[lit + n_vars]` is 1 (true), 0 (false) or
 -1 (unassigned), and assigning or unassigning a literal writes the slots of
 both polarities, so no literal test needs its variable or its sign.
 Propagation works on the same slots. Binary clauses, most of each encoding,
-are per-literal implication lists, as in sharpSAT (Thurley, SAT 2006);
+are per-literal implication lists, also as in sharpSAT;
 clauses of three or more literals keep two watched literals over mutable
 slot copies. For each literal made false, `propagate` walks its
 implications first, then its watches.
 
 Copy variables, the block from `first_copy` up (see `encode.VarTable`),
-are propagated but never decided and never enumerated. One leaf test serves
-both modes: once no non-copy variable is left to branch on, the component
-is worth 1 if none of its clauses is unsatisfied and 0 otherwise (a loop
-with no external justification). When counting, a component with no clause
-left is worth a factor of 2 per free non-copy variable and 1 per free copy.
-A component's variables are sorted, so its non-copies are the prefix below
-`first_copy`.
+are propagated but never decided and never enumerated. A component's
+variables are sorted, so its non-copies are the prefix below `first_copy`.
+When counting, a component holds a clause exactly when it has two or more
+variables or a listed clause. With no clause it is worth a factor of 2 per
+free non-copy variable and 1 per free copy. With clauses but no non-copy
+variable left to branch on it is worth 0, because every clause of a fresh
+component is unsatisfied (a loop with no external justification). An
+enumeration leaf is worth 1 if none of the copy clauses is unsatisfied and
+0 otherwise.
 
 Branching reuses the walk: `decompose` also counts, per variable, its
 literals in its component's clauses, and `decide` takes the non-copy
@@ -97,12 +103,12 @@ class Exceeded:
 
 class Component(NamedTuple):
     vars: tuple[int, ...]  # sorted, all unassigned at creation
-    clause_idxs: tuple[int, ...]  # unsatisfied clauses over vars, ascending
+    clause_idxs: tuple[int, ...]  # its unsatisfied listed clauses, ascending
 
 
 def cache_key_bytes(variables, clause_idxs) -> bytes:
     """Exact component key: the variable count, the sorted variable ids,
-    then the ascending clause ids (see the module docstring for why)."""
+    then the ascending listed clause ids (see the module docstring for why)."""
     return array("i", (len(variables), *variables, *clause_idxs)).tobytes()
 
 
@@ -121,7 +127,8 @@ class Engine:
         self.n_vars = n = pair.n_vars
         self.first_copy = pair.vars.first_copy
         self.canon = pair.completion.clauses + pair.copy_clauses.clauses
-        # enumeration's one component: every non-copy variable, copy clauses
+        # enumeration's one component: every non-copy variable and every
+        # copy clause, binary ones included (enumeration never decomposes)
         self._enum_root = Component(
             range(self.first_copy), range(len(pair.completion), len(self.canon))
         )
@@ -160,8 +167,10 @@ class Engine:
             self.rng = random.Random(seed)
         self.budget = budget
         self._deadline: float | None = None
-        # decompose's occurrence lists, literal pairs and stamp arrays; built
-        # by its first call, so that enumeration and set-up never pay for them
+        # decompose's binary neighbour lists, occurrence lists, literal pairs
+        # and stamp arrays; built by its first call, so that enumeration and
+        # set-up never pay for them
+        self._nbrs: list[list[int]] = []
         self._occ: list[list[int]] | None = None
         self._lit_pairs: list[tuple[tuple[int, int], ...]] = []
         self._clause_mark: list[int] = []
@@ -299,28 +308,35 @@ class Engine:
 
     # -- decomposition & branching -----------------------------------------
 
-    def decompose(self, variables, clause_idxs) -> list[Component]:
-        """Variable-disjoint components of the unsatisfied clauses among
-        `clause_idxs`, in ascending order of their smallest variable.
-        Unassigned variables in no such clause come back as free singletons.
-        Needs a conflict-free propagation fixpoint: every unsatisfied clause
-        then has an unassigned variable, from which the walk reaches it.
+    def decompose(self, variables) -> list[Component]:
+        """Variable-disjoint components over the unassigned variables among
+        `variables`, in ascending order of their smallest variable, each with
+        its unsatisfied listed clauses; unassigned variables in no
+        unsatisfied clause come back as free singletons.
+
+        `variables` is every variable, or a component's at an earlier
+        fixpoint on this branch. Satisfaction only grows down the search
+        tree, so an unsatisfied clause holding one of them was then that
+        component's, and the walk never leaves them. Needs a conflict-free
+        propagation fixpoint: a binary clause is then unsatisfied exactly
+        when both its variables are unassigned, and any unsatisfied clause
+        has an unassigned variable, from which the walk reaches it.
+
         Also sets `_score[w]`, for each variable w of each component, to the
-        number of w's literals in the component's clauses; `decide` reads it."""
+        number of w's literals in the component's clauses, binary ones
+        included; `decide` reads it."""
         occ = self._occ
         if occ is None:
             occ = self._build_occurrences()
+        nbrs = self._nbrs
         lit_pairs = self._lit_pairs
         value = self.lit_value
         cmark = self._clause_mark
         vmark = self._var_mark
         score = self._score
         pos = self.n_vars + 1  # variable v's literal v + 1 has the slot pos + v
-        self._stamp += 2
-        live = self._stamp  # clause of the parent, not yet checked
-        seen = live + 1  # clause checked, or variable reached
-        for ci in clause_idxs:
-            cmark[ci] = live
+        self._stamp += 1
+        seen = self._stamp  # clause checked, or variable reached, this call
         comps = []
         for v in variables:
             if value[pos + v] != -1 or vmark[v] == seen:
@@ -330,8 +346,18 @@ class Engine:
             cvars = [v]
             cids = []
             for u in cvars:  # grows while the walk reaches new variables
+                # each binary clause of u and an unassigned w adds one to
+                # w's score here and one to u's from w's own list
+                for w in nbrs[u]:
+                    if value[pos + w] == -1:
+                        if vmark[w] == seen:
+                            score[w] += 1
+                        else:
+                            vmark[w] = seen
+                            score[w] = 1
+                            cvars.append(w)
                 for ci in occ[u]:
-                    if cmark[ci] != live:
+                    if cmark[ci] == seen:
                         continue
                     cmark[ci] = seen
                     pairs = lit_pairs[ci]
@@ -354,17 +380,31 @@ class Engine:
         return comps
 
     def _build_occurrences(self) -> list[list[int]]:
-        # (variable, literal slot) per canonical literal
+        # per variable, the other variable of each non-tautological binary
+        # clause holding it; per listed clause, (variable, literal slot) per
+        # canonical literal (() for the others), and per variable the listed
+        # clauses holding it. Units are never listed: at a fixpoint they are
+        # satisfied.
         n = self.n_vars
-        self._lit_pairs = [tuple((abs(l) - 1, l + n) for l in c) for c in self.canon]
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         occ: list[list[int]] = [[] for _ in range(n)]
-        for ci, pairs in enumerate(self._lit_pairs):
-            for w, _ in pairs:
-                occ[w].append(ci)
+        lit_pairs: list[tuple[tuple[int, int], ...]] = [()] * len(self.canon)
+        for ci, c in enumerate(self.canon):
+            if len(c) == 2 and c[0] != -c[1]:
+                a = abs(c[0]) - 1
+                b = abs(c[1]) - 1
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+            elif len(c) > 1:
+                pairs = lit_pairs[ci] = tuple((abs(l) - 1, l + n) for l in c)
+                for w, _ in pairs:
+                    occ[w].append(ci)
+        self._nbrs = nbrs
+        self._lit_pairs = lit_pairs
         self._occ = occ
         self._clause_mark = [0] * len(self.canon)
-        self._var_mark = [0] * self.n_vars
-        self._score = [0] * self.n_vars
+        self._var_mark = [0] * n
+        self._score = [0] * n
         return occ
 
     def decide(self, comp: Component) -> int | None:
@@ -409,7 +449,7 @@ class Engine:
         takes the lowest level of the bags holding it, so the separators of
         the largest pieces rank first. `_tie[v]` is -(level * first_copy + v)."""
         n = self.first_copy
-        adj: list[set[int]] = [set() for _ in range(n)]
+        adj = [{u for u in nbrs if u < n} for nbrs in self._nbrs[:n]]
         for pairs in self._lit_pairs:
             vs = [w for w, _ in pairs if w < n]
             for w in vs:
@@ -512,7 +552,7 @@ class Engine:
         self.reset()
         if not self._apply_initial(assumptions):
             return 0, self._finalize()
-        roots = self.decompose(range(self.n_vars), range(len(self.canon)))
+        roots = self.decompose(range(self.n_vars))
         return self._search(roots), self._finalize()
 
     def _finalize(self) -> RunStats:
@@ -546,7 +586,8 @@ class Engine:
 
     def _leaf_value(self, clause_idxs) -> int:
         """1 if none of the clauses is unsatisfied, else 0 (a loop with no
-        external justification); asked once no non-copy variable is left."""
+        external justification); enumeration asks it of the copy clauses
+        once no non-copy variable is left."""
         value = self.lit_value
         n = self.n_vars
         canon = self.canon
@@ -611,28 +652,34 @@ class Engine:
                         continue
                 check_deadline()
                 if counting:
-                    # with no clause left, the free non-copies are counted
-                    # unbranched; a free copy never tells answer sets apart
+                    # a clause-free component is a free singleton: a non-copy
+                    # doubles the count, a copy never tells answer sets
+                    # apart; with clauses and no non-copy to branch on, the
+                    # component is worth 0 (see the module docstring)
                     n_free = bisect_left(sub.vars, first_copy)
-                    v = decide(sub) if n_free and sub.clause_idxs else None
+                    if len(sub.vars) > 1 or sub.clause_idxs:
+                        v = decide(sub) if n_free else None
+                        val = 0
+                    else:
+                        v = None
+                        val = 1 << n_free
                 else:
                     # the lowest unassigned variable: the one component holds
                     # every non-copy variable v, whose literal v + 1 has the
                     # slot pos + v, and every variable up to the frame's own
                     # branch variable, trail[mark], was assigned when the
                     # frame was opened
-                    n_free = 0
                     start = abs(trail[mark]) if comp is not None else 0
                     try:
                         v = value.index(-1, pos + start, pos + first_copy) - pos
                     except ValueError:
                         v = None
+                        val = leaf_value(sub.clause_idxs)
+                        if val:
+                            found += 1
+                            if found > limit:
+                                return None
                 if v is None:
-                    val = leaf_value(sub.clause_idxs) << n_free
-                    if val and not counting:
-                        found += 1
-                        if found > limit:
-                            return None
                     if caching:
                         store(sub_key, val)
                     prod *= val
@@ -662,7 +709,7 @@ class Engine:
             trail.append(lit)
             stats.decisions += 1
             if propagate() is None:
-                subs = decompose(comp.vars, comp.clause_idxs) if counting else (comp,)
+                subs = decompose(comp.vars) if counting else (comp,)
                 i, prod = 0, 1
             else:
                 # the branch is worth 0; as components come only from a

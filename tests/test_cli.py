@@ -24,6 +24,7 @@ REPORT_KEYS = {
     "cache_hits",
     "cache_hit_pct",
     "cache_entries",
+    "peak_cache_bytes",
     "wall_seconds",
     "tight",
     "n_atoms",
@@ -60,6 +61,7 @@ def test_count_stats_json_schema(example1, capsys):
     assert doc["n_atoms"] == 5
     assert doc["n_loop_atoms"] == doc["n_copy_vars"] == 2
     assert doc["n_clauses_g"] == 6
+    assert doc["cache_entries"] > 0 and doc["peak_cache_bytes"] > 0
 
 
 def test_analyze(example1, capsys):

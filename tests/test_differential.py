@@ -1,8 +1,8 @@
 """Checks past the brute-force oracle's 24-atom cap: closed-form counts,
 agreement between the count, cache-off and enumeration modes and between
 a count and its split on one variable, propagation against a naive
-unit-resolution closure, and the invariants of decompose that the exact
-cache key and decide rely on."""
+unit-resolution closure, the invariants of decompose that the exact
+cache key and decide rely on, and the key's exactness itself."""
 
 import math
 import random
@@ -20,8 +20,10 @@ from aspcount import (
     parse_program,
     random_graph,
 )
+from aspcount import engine as engine_module
 from aspcount.benchgen import Graph
 from aspcount.encode import Cnf, PairFormula, VarTable
+from aspcount.engine import cache_key_bytes
 from aspcount.program import Constraint, Program, Rule, SymbolTable
 
 from helpers import graph_reach_count, path_text
@@ -106,6 +108,40 @@ def test_count_is_sum_of_split_on_one_variable(program, pick):
         eng = Engine(pair, use_cache=use_cache)
         n = eng.count()[0]
         assert eng.count([x])[0] + eng.count([-x])[0] == n
+
+
+def _residual(eng, variables):
+    """The residual formula over a component's variables under the current
+    assignment: every unsatisfied clause holding one of them, as its
+    literals over them."""
+    value, n = eng.lit_value, eng.n_vars
+    owned = set(variables)
+    return frozenset(
+        tuple(l for l in cl if abs(l) - 1 in owned)
+        for cl in eng.canon
+        if any(abs(l) - 1 in owned for l in cl) and not any(value[n + l] == 1 for l in cl)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_programs())
+def test_cache_key_determines_residual(program):
+    pair = build_pair(program)
+    eng = Engine(pair)
+    residual_of = {}
+
+    def recording_key(variables, clause_idxs):
+        key = cache_key_bytes(variables, clause_idxs)
+        residual = _residual(eng, variables)
+        assert residual_of.setdefault(key, residual) == residual
+        return key
+
+    engine_module.cache_key_bytes = recording_key  # _search reads it per call
+    try:
+        n = eng.count()[0]
+    finally:
+        engine_module.cache_key_bytes = cache_key_bytes
+    assert Engine(pair, use_cache=False).count()[0] == n
 
 
 @st.composite
@@ -205,22 +241,39 @@ def test_path_counts_are_fibonacci(n):
     assert Engine(build_pair(parse_program(path_text(n)))).count()[0] == _fibonacci(n + 2)
 
 
+def _full_clauses(eng, c):
+    """A component's clause ids with its binary clauses made explicit: its
+    listed ids plus every non-tautological binary clause over two of its
+    variables, ascending."""
+    owned = set(c.vars)
+    for ci in c.clause_idxs:  # listed: three or more literals, or x | -x
+        cl = eng.canon[ci]
+        assert len(cl) > 2 or (len(cl) == 2 and cl[0] == -cl[1])
+    binary = [
+        ci
+        for ci, cl in enumerate(eng.canon)
+        if len(cl) == 2 and cl[0] != -cl[1] and {abs(l) - 1 for l in cl} <= owned
+    ]
+    return sorted([*c.clause_idxs, *binary])
+
+
 def _check_partition(eng, variables, clause_idxs, comps):
     value, n = eng.lit_value, eng.n_vars
     unassigned = [v for v in variables if value[n + v + 1] == -1]
     unsatisfied = [
         ci for ci in clause_idxs if not any(value[n + l] == 1 for l in eng.canon[ci])
     ]
+    full = [_full_clauses(eng, c) for c in comps]
     assert sorted(v for c in comps for v in c.vars) == unassigned
-    assert sorted(ci for c in comps for ci in c.clause_idxs) == unsatisfied
+    assert sorted(ci for cids in full for ci in cids) == unsatisfied
     assert [c.vars[0] for c in comps] == sorted(c.vars[0] for c in comps)
-    for c in comps:
+    for c, cids in zip(comps, full):
         assert list(c.vars) == sorted(c.vars)
         assert list(c.clause_idxs) == sorted(c.clause_idxs)
         # the key's soundness: every literal of a component clause is over
         # the component's variables or assigned false
         owned = set(c.vars)
-        for ci in c.clause_idxs:
+        for ci in cids:
             for l in eng.canon[ci]:
                 assert abs(l) - 1 in owned or value[n + l] == 0
         # and the component is connected through its clauses
@@ -228,7 +281,7 @@ def _check_partition(eng, variables, clause_idxs, comps):
         grew = True
         while grew:
             grew = False
-            for ci in c.clause_idxs:
+            for ci in cids:
                 vs = {abs(l) - 1 for l in eng.canon[ci]} & owned
                 if vs & reached and not vs <= reached:
                     reached |= vs
@@ -255,21 +308,20 @@ def _engine_at_fixpoint(program, picks, phase):
 
 
 def _splits(eng):
-    """(variables, clause ids, decompose's components) for the whole
+    """(variables, full clause ids, decompose's components) for the whole
     formula, then one level down: after branching on decide's pick in the
     component with the most clauses."""
-    everything = range(len(eng.canon))
-    comps = eng.decompose(range(eng.n_vars), everything)
-    yield range(eng.n_vars), everything, comps
-    parent = max(comps, key=lambda c: len(c.clause_idxs), default=None)
-    if parent is None or not parent.clause_idxs:
+    comps = eng.decompose(range(eng.n_vars))
+    yield range(eng.n_vars), range(len(eng.canon)), comps
+    parent = max(comps, key=lambda c: len(_full_clauses(eng, c)), default=None)
+    if parent is None or not _full_clauses(eng, parent):
         return
     v = eng.decide(parent)
     if v is None:
         return
     eng.assign(v + 1)
     if eng.propagate() is None:
-        yield parent.vars, parent.clause_idxs, eng.decompose(parent.vars, parent.clause_idxs)
+        yield parent.vars, _full_clauses(eng, parent), eng.decompose(parent.vars)
 
 
 @settings(max_examples=40, deadline=None)
@@ -291,7 +343,7 @@ def test_decompose_scores_match_recount(program, picks, phase):
     for _, _, comps in _splits(eng):
         for c in comps:
             recount = {v: 0 for v in c.vars}
-            for ci in c.clause_idxs:
+            for ci in _full_clauses(eng, c):
                 for l in eng.canon[ci]:
                     if abs(l) - 1 in recount:
                         recount[abs(l) - 1] += 1

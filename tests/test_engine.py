@@ -66,7 +66,7 @@ def test_full_assignment_leaves_copy_component():
     for lit in (pos_lit(b), pos_lit(c), pos_lit(d), -pos_lit(a), -pos_lit(e)):
         assert eng.assign(lit)
     assert eng.propagate() is None
-    comps = eng.decompose(range(pair.n_vars), range(len(eng.clauses)))
+    comps = eng.decompose(range(pair.n_vars))
     copy_comps = [
         comp for comp in comps if all(v in pair.copy_vars for v in comp.vars)
     ]
@@ -89,7 +89,7 @@ def test_decide_skips_copy_vars():
     p = parse_program(EXAMPLE1)
     pair = build_pair(p)
     eng = Engine(pair)
-    comps = eng.decompose(range(pair.n_vars), range(len(eng.clauses)))
+    comps = eng.decompose(range(pair.n_vars))
     assert len(comps) == 1
     v = eng.decide(comps[0])
     assert v is not None and v not in pair.copy_vars
@@ -111,8 +111,10 @@ def test_clause_free_component_doubles_per_free_non_copy():
 
     pair = build_pair(parse_program(EXAMPLE1))
     eng = Engine(pair)
-    # a and b free with every clause satisfied; a free copy adds no factor
-    assert eng._search([Component((0, 1, pair.vars.first_copy), ())]) == 4
+    # a and b free with every clause satisfied, so decompose gives each its
+    # own singleton; a free copy adds no factor
+    free = (0, 1, pair.vars.first_copy)
+    assert eng._search([Component((v,), ()) for v in free]) == 4
 
 
 def test_decide_none_on_empty_component():
@@ -126,7 +128,7 @@ def test_decide_starts_path_in_its_middle_third():
     program = parse_program(path_text(301))
     eng = Engine(build_pair(program))
     assert eng._apply_initial()
-    (root,) = eng.decompose(range(eng.n_vars), range(len(eng.canon)))
+    (root,) = eng.decompose(range(eng.n_vars))
     # x_i or y_i; the lowest-index tie-break alone would pick x_1
     i = int(program.symbol(eng.decide(root))[1:])
     assert 100 <= i <= 200
@@ -152,7 +154,7 @@ def test_decompose_disjoint_copies():
     )
     eng = Engine(both)
     assert eng.propagate() is None
-    comps = eng.decompose(range(both.n_vars), range(len(eng.clauses)))
+    comps = eng.decompose(range(both.n_vars))
     assert len(comps) == 2
     assert brute_force_count(p1) == brute_force_count(p2) == 2
 
@@ -163,7 +165,32 @@ def test_decompose_all_satisfied_yields_free_singletons():
     assert eng.assign(pos_lit(0))
     assert eng.propagate() is None
     # everything satisfied: no variables left at all here
-    assert eng.decompose(range(pair.n_vars), range(len(eng.clauses))) == []
+    assert eng.decompose(range(pair.n_vars)) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a :- a.",
+        "a :- a.\na :- not b.\nb :- not a.",
+        # a two-atom loop, a self-loop on b and a's external support
+        "a :- b.\nb :- a.\nb :- b.\na :- not c.\nc :- not a.",
+    ],
+)
+def test_self_loop_tautology_stays_listed(text):
+    # a self-loop rule gives the copy clause x' | -x', which no binary
+    # neighbour list can imply: decompose must list it
+    program = parse_program(text)
+    pair = build_pair(program)
+    expected = brute_force_count(program)
+    for use_cache in (True, False):
+        assert Engine(pair, use_cache=use_cache).count()[0] == expected
+    eng = Engine(pair)
+    assert eng._apply_initial()
+    taut = {ci for ci, c in enumerate(eng.canon) if len(c) == 2 and c[0] == -c[1]}
+    assert taut
+    listed = {ci for comp in eng.decompose(range(eng.n_vars)) for ci in comp.clause_idxs}
+    assert taut <= listed
 
 
 def test_free_variable_factors():
