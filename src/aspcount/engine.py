@@ -50,20 +50,21 @@ variable with the highest count. The counts are never stale when read:
 sibling components are variable-disjoint, and the search of one sibling
 backtracks before the next is branched on, so the assignment over a
 component's variables is still the one its `decompose` saw. Ties go to the
-variable nearest a centroid of a tree decomposition of the primal graph
-(built on the first `decide`), as in sharpSAT-TD (Korhonen & Jarvisalo,
-CP 2021), so a long chain is split in its middle rather than peeled from
+variable in the best-ranked separator of a nested dissection of the primal
+graph on BFS layers (George & Liu, 1978; built with the occurrence lists
+on the first `decompose`), after sharpSAT-TD's separators-first branching
+(Korhonen & Jarvisalo, CP 2021), so a chain numbered along its length is
+split in its middle, and each half in its middle, rather than peeled from
 one end; remaining ties go to the smallest index, or to the seeded rng.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from array import array
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .encode import PairFormula
@@ -177,7 +178,7 @@ class Engine:
         self._var_mark: list[int] = []
         self._score: list[int] = []
         self._stamp = 0
-        # decide's tie ranks, built by its first call from the literal pairs
+        # decide's tie ranks, built with the occurrence lists
         self._tie: list[int] | None = None
         self._tie_span = 0
 
@@ -405,14 +406,15 @@ class Engine:
         self._clause_mark = [0] * len(self.canon)
         self._var_mark = [0] * n
         self._score = [0] * n
+        self._build_tie()
         return occ
 
     def decide(self, comp: Component) -> int | None:
         """Non-copy variable of a component returned by `decompose` with the
         most literals in the component's clauses, read from `_score`. Ties go
-        to the lowest tree-decomposition level (see `_build_tie`), then to
-        the smallest index; the seeded rng instead picks among the variables
-        tied on both score and level.
+        to the lowest BFS-layer rank (see `_build_tie`), then to the smallest
+        index; the seeded rng instead picks among the variables tied on both
+        score and rank.
 
         `_score` is current for every component the search passes here: it
         was returned by the latest `decompose` to reach its variables (the
@@ -424,10 +426,8 @@ class Engine:
             return None
         score = self._score
         tie = self._tie
-        if tie is None:
-            tie = self._build_tie()
         span = self._tie_span
-        # one int per candidate, ordered by (score, -level, -index); the
+        # one int per candidate, ordered by (score, -rank, -index); the
         # variable is its key modulo first_copy, negated
         top = max([score[v] * span + tie[v] for v in free])
         best = -top % self.first_copy
@@ -436,103 +436,52 @@ class Engine:
         group = top + best
         return self.rng.choice([v for v in free if score[v] * span + tie[v] + v == group])
 
-    def _build_tie(self) -> list[int]:
-        """Tie ranks from a tree decomposition of the primal graph of the
-        non-copy variables, as in Korhonen & Jarvisalo (CP 2021).
+    def _build_tie(self):
+        """Tie ranks by nested dissection on BFS layers (George & Liu, SIAM J.
+        Numer. Anal. 1978), for the separator-first branching of sharpSAT-TD
+        (Korhonen & Jarvisalo, CP 2021).
 
-        A min-degree elimination makes one bag per eliminated variable (it
-        and its neighbours at that moment); once the minimum degree is the
-        number of variables left minus one, the rest is a clique and forms
-        one last bag. A bag's parent is the bag of its first-eliminated other
-        member. Centroid decomposition of that forest gives each bag a level
-        (0 for each tree's centroid, one more per split), and a variable
-        takes the lowest level of the bags holding it, so the separators of
-        the largest pieces rank first. `_tie[v]` is -(level * first_copy + v)."""
+        Each connected piece of the primal graph of the non-copy variables
+        gets one BFS from its lowest variable, and each BFS layer separates
+        the layers before it from those after it. Recursive bisection of the
+        piece's distance range ranks the layers: the middle layer 0, the
+        middles of the two halves 1, and so on, so the separators of the
+        largest pieces rank first. A variable takes its layer's rank, and
+        `_tie[v]` is -(rank * first_copy + v)."""
         n = self.first_copy
-        adj = [{u for u in nbrs if u < n} for nbrs in self._nbrs[:n]]
-        for pairs in self._lit_pairs:
-            vs = [w for w, _ in pairs if w < n]
-            for w in vs:
-                adj[w].update(vs)
-        for w in range(n):
-            adj[w].discard(w)
-
-        # min-degree elimination; bags[i] is the bag made by step i
-        pos = [-1] * n
-        bags: list[list[int]] = []
-        heap = [(len(adj[w]), w) for w in range(n)]
-        heapq.heapify(heap)
-        left = n
-        while heap:
-            d, w = heapq.heappop(heap)
-            if pos[w] != -1 or d != len(adj[w]):
-                continue  # eliminated, or its degree has changed since
-            if d == left - 1:
-                rest = [u for u in range(n) if pos[u] == -1]
-                for u in rest:
-                    pos[u] = len(bags)
-                bags.append(rest)
-                break
-            pos[w] = len(bags)
-            nbrs = adj[w]
-            bags.append([w, *nbrs])
-            for u in nbrs:
-                a = adj[u]
-                a.discard(w)
-                a.update(nbrs)
-                a.discard(u)
-                heapq.heappush(heap, (len(a), u))
-            left -= 1
-
-        # the elimination forest, then its centroid decomposition
-        # (n >= 1 here, so the loop above ended on the clique bag)
-        nb = len(bags)
-        tree: list[list[int]] = [[] for _ in range(nb)]
-        todo = [(nb - 1, 0)]  # (bag, level) per piece to split; the roots first
-        for i in range(nb - 1):
-            others = bags[i][1:]
-            if others:
-                up = min([pos[u] for u in others])
-                tree[i].append(up)
-                tree[up].append(i)
-            else:
-                todo.append((i, 0))
-        level = [-1] * nb  # -1 until the bag is a centroid
-        par = [-1] * nb  # parent within the piece being split
-        size = [1] * nb  # subtree size within that piece
-        while todo:
-            root, lev = todo.pop()
-            par[root] = -1
-            size[root] = 1
-            order = [root]
-            for b in order:  # the piece of the forest still holding root
-                for c in tree[b]:
-                    if level[c] == -1 and c != par[b]:
-                        par[c] = b
-                        size[c] = 1
-                        order.append(c)
-            for b in reversed(order):
-                if b != root:
-                    size[par[b]] += size[b]
-            half = len(order) // 2
-            centroid = root
-            while True:  # step into the child holding over half, if any
-                for c in tree[centroid]:
-                    if level[c] == -1 and par[c] == centroid and size[c] > half:
-                        centroid = c
-                        break
-                else:
-                    break
-            level[centroid] = lev
-            todo.extend((c, lev + 1) for c in tree[centroid] if level[c] == -1)
-        var_level = [nb] * n
-        for i, bag in enumerate(bags):
-            for u in bag:
-                if level[i] < var_level[u]:
-                    var_level[u] = level[i]
-        self._tie_span = (max(var_level, default=0) + 1) * n
-        self._tie = [-(var_level[v] * n + v) for v in range(n)]
-        return self._tie
+        nbrs = self._nbrs
+        occ = self._occ
+        lit_pairs = self._lit_pairs
+        dist = [-1] * n  # BFS distance, then rank once the piece is ranked
+        for root in range(n):
+            if dist[root] != -1:
+                continue
+            dist[root] = 0
+            piece = [root]
+            for u in piece:  # grows while the BFS reaches new variables
+                d = dist[u] + 1
+                for w in nbrs[u]:
+                    if w < n and dist[w] == -1:
+                        dist[w] = d
+                        piece.append(w)
+                for ci in occ[u]:
+                    for w, _ in lit_pairs[ci]:
+                        if w < n and dist[w] == -1:
+                            dist[w] = d
+                            piece.append(w)
+            # BFS order is distance order, so the last variable is the farthest
+            layer_rank = [0] * (dist[piece[-1]] + 1)
+            todo = [(0, len(layer_rank) - 1, 0)]
+            while todo:
+                lo, hi, r = todo.pop()
+                if lo <= hi:
+                    mid = (lo + hi) // 2
+                    layer_rank[mid] = r
+                    todo += (lo, mid - 1, r + 1), (mid + 1, hi, r + 1)
+            for u in piece:
+                dist[u] = layer_rank[dist[u]]
+        self._tie_span = (max(dist, default=0) + 1) * n
+        self._tie = [-(dist[v] * n + v) for v in range(n)]
 
     # -- search ------------------------------------------------------------
 
@@ -744,7 +693,7 @@ class Engine:
             stats = self._finalize()
             stats.path = "enumeration"
             return result.count, stats
-        enum_stats = replace(self.stats)
+        enum_stats = self.stats  # _count binds a fresh RunStats
         n, stats = self._count()
         stats.decisions += enum_stats.decisions
         stats.propagations += enum_stats.propagations

@@ -134,6 +134,26 @@ def test_decide_starts_path_in_its_middle_third():
     assert 100 <= i <= 200
 
 
+def test_path_is_dissected_at_every_level(monkeypatch):
+    # the variables decompose walks sum to about n log n when every split
+    # lands near the middle of its chain, and to about n^2 when the chain
+    # is peeled from one end (tie = -index gives 2 003 992 here)
+    walked = []
+    real_decompose = Engine.decompose
+
+    def spy(self, variables):
+        walked.append(len(variables))
+        return real_decompose(self, variables)
+
+    monkeypatch.setattr(Engine, "decompose", spy)
+    n, _ = Engine(_pair(path_text(1000))).count()
+    a, b = 0, 1
+    for _ in range(1002):
+        a, b = b, a + b
+    assert n == a  # Fibonacci(1002)
+    assert sum(walked) <= 200_000
+
+
 def test_tie_ranks_are_built_by_counting_only():
     eng = Engine(_pair(path_text(10)))
     assert eng._tie is None
