@@ -1,9 +1,11 @@
 """Exact answer-set counting for ground normal logic programs.
 
 A program is encoded as a pair of CNFs, the Clark completion and the
-copy-implication clauses over fresh copies of its loop atoms; a total
-assignment over the atoms is an answer set exactly when it satisfies the
-completion and unit propagation discharges every copy clause. The engine
+copy-implication clauses over fresh copies of its loop atoms, with one
+variable per class of equivalent atom literals and no rule whose positive
+body cannot be derived; a total assignment over those variables is an
+answer set exactly when it satisfies the completion and unit propagation
+discharges every copy clause. The engine
 counts such assignments with component decomposition and caching, and a
 brute-force reduct oracle provides the ground truth for testing.
 """

@@ -1,4 +1,4 @@
-"""Positive dependency graph, SCCs, loop atoms, tightness."""
+"""Derivable atoms, positive dependency graph, SCCs, loop atoms, tightness."""
 
 from __future__ import annotations
 
@@ -29,6 +29,32 @@ class DepGraph:
 class LoopInfo:
     scc_of: tuple[int, ...]
     loop_atoms: frozenset[AtomId]
+
+
+def derivable_atoms(program: Program) -> frozenset[AtomId]:
+    """D, the least model of the rules with their negative bodies dropped,
+    in one pass that counts each rule's positive body atoms not yet derived.
+
+    Every answer set M is the least model of the reduct P^M, whose rules
+    are rules of P with their negative literals removed, so M lies inside D
+    and a rule whose positive body is not inside D never fires."""
+    waiting = [len(r.pos_body) for r in program.rules]
+    rules_of: list[list[int]] = [[] for _ in range(program.n_atoms)]
+    for i, r in enumerate(program.rules):
+        for b in r.pos_body:
+            rules_of[b].append(i)
+    derived = set()
+    todo = [r.head for r in program.rules if not r.pos_body]
+    while todo:
+        a = todo.pop()
+        if a in derived:
+            continue
+        derived.add(a)
+        for i in rules_of[a]:
+            waiting[i] -= 1
+            if not waiting[i]:
+                todo.append(program.rules[i].head)
+    return frozenset(derived)
 
 
 def build_dep_graph(program: Program) -> DepGraph:

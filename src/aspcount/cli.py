@@ -14,12 +14,13 @@ import time
 from pathlib import Path
 
 from . import benchgen
-from .analysis import build_dep_graph, compute_loop_atoms
+from .analysis import build_dep_graph, compute_loop_atoms, derivable_atoms
 from .encode import build_pair, emit_dimacs
 from .engine import DEFAULT_ENUM_THRESHOLD, Engine, ExactCount, RunStats
 from .errors import ResourceLimitError
 from .oracle import DEFAULT_ATOM_CAP, brute_force_count
 from .parser import ParseError, parse_program, render_program
+from .program import validate
 
 
 class _UsageError(Exception):
@@ -82,7 +83,7 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ATOM_CAP)
 
-    p = sub.add_parser("analyze", help="tightness and loop atoms")
+    p = sub.add_parser("analyze", help="tightness, loop atoms, underivable atoms, warnings")
     p.add_argument("file")
     p.add_argument("--dump-graph", action="store_true")
 
@@ -132,6 +133,8 @@ def _report(args, answer_count, stats: RunStats, wall, program, pair):
         "n_copy_vars": n_copy_vars,
         "n_clauses_f": len(pair.completion),
         "n_clauses_g": len(pair.copy_clauses),
+        "n_vars": pair.n_vars,
+        "path": stats.path or None,
     }
     print(json.dumps(doc), file=sys.stderr)
 
@@ -203,6 +206,10 @@ def _cmd_analyze(args) -> int:
     print("n_rules: %d" % len(program.rules))
     print("n_constraints: %d" % len(program.constraints))
     print("n_loop_atoms: %d" % len(info.loop_atoms))
+    underivable = sorted(set(range(program.n_atoms)) - derivable_atoms(program))
+    print("underivable: %s" % " ".join(program.symbol(a) for a in underivable))
+    for warning in validate(program):
+        print("warning: %s" % warning)
     if args.dump_graph:
         for u, v in sorted(graph.edges):
             print("%s %s" % (program.symbol(u), program.symbol(v)))

@@ -1,36 +1,40 @@
 """Pair representation of a program: completion CNF plus copy-implication CNF.
 
 Literal convention: variable v (0-based) appears as the signed integer
-+(v+1) / -(v+1), DIMACS style. Variables come in three contiguous blocks,
-in this order (see `VarTable`):
++(v+1) / -(v+1), DIMACS style. `build_pair` first drops every rule whose
+positive body is not inside the derivable atoms (`analysis.derivable_atoms`),
+so each atom outside them has no body and a unit -a. It then merges each
+head whose only usable body is one literal other than itself, such as
+`a :- not b.` or `a :- b.`, with that literal: the completion entails
+a <-> L[a], so substituting one literal per class maps its models one to
+one. Variables come in three contiguous blocks, in this order (see
+`VarTable`):
 
-  original  one per atom; var id == atom id
+  original  one per class of equivalent atom literals; atom a is the
+            literal `lit_of_atom[a]`, positive for the class's smallest atom
   aux       one per distinct rule body with >= 2 literals whose head atom
             has >= 2 defining rules (full biconditional, so the model count
             of the completion over all variables equals the count over atoms)
   copy      one fresh variable per loop atom
 
 The completion CNF never mentions copy variables; every copy clause mentions
-at least one. Copy clauses are built literally from the rules, including
-both-polarity (tautological) clauses from self-loop rules: under the residual
-semantics used for the vanishing test those clauses are what blocks a loop
-atom from justifying itself, so they must not be simplified away.
+at least one. Copy clauses are built literally from the rules, through the
+atom map, including both-polarity (tautological) clauses from self-loop
+rules: under the residual semantics used for the vanishing test those
+clauses are what blocks a loop atom from justifying itself, so they must
+not be simplified away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import LoopInfo, build_dep_graph, compute_loop_atoms
+from .analysis import LoopInfo, build_dep_graph, compute_loop_atoms, derivable_atoms
 from .program import AtomId, Program
 
 
 def pos_lit(v: int) -> int:
     return v + 1
-
-
-def neg_lit(v: int) -> int:
-    return -(v + 1)
 
 
 def var_of(lit: int) -> int:
@@ -39,12 +43,14 @@ def var_of(lit: int) -> int:
 
 class VarTable:
     """Variable ids as three contiguous blocks: originals [0, n_original),
-    auxiliaries [n_original, first_copy), copies [first_copy, len(self)).
-    The layout holds by construction: clark_completion makes every
-    auxiliary before copy_operation makes the first copy."""
+    one per class of equivalent atom literals, auxiliaries [n_original,
+    first_copy), copies [first_copy, len(self)). `lit_of_atom[a]` is the
+    literal of atom a. The layout holds by construction: clark_completion
+    makes every auxiliary before copy_operation makes the first copy."""
 
-    def __init__(self, n_atoms: int):
-        self.n_original = n_atoms
+    def __init__(self, lit_of_atom: list[int]):
+        self.lit_of_atom = lit_of_atom
+        self.n_original = max(map(abs, lit_of_atom), default=0)
         self.aux_of_body: dict[tuple[frozenset, frozenset], int] = {}
         self.copy_of_atom: dict[AtomId, int] = {}
 
@@ -85,23 +91,56 @@ class Cnf:
         return iter(self.clauses)
 
 
-def _body_literals(pos, neg) -> list[int]:
-    return [pos_lit(a) for a in sorted(pos)] + [neg_lit(a) for a in sorted(neg)]
+def _body_literals(pos, neg, lit) -> list[int]:
+    return [lit[a] for a in sorted(pos)] + [-lit[a] for a in sorted(neg)]
+
+
+def _merge_equivalent_atoms(n_atoms: int, by_head) -> tuple[list[int], set[int]]:
+    """The literal of each atom, one variable per class of atoms that a
+    head's only body ties together when that body is one literal other than
+    the head, numbered by each class's smallest atom; and the heads whose
+    definition joined two classes, which the completion then leaves out."""
+    ties: list[list[tuple[int, int, int]]] = [[] for _ in range(n_atoms)]
+    for head, bodies in by_head.items():
+        if len(bodies) == 1 and len(bodies[0][0]) + len(bodies[0][1]) == 1:
+            pos, neg = bodies[0]
+            (b,) = pos or neg
+            if b != head:  # a self-loop a :- a. keeps its own variable
+                sign = 1 if pos else -1
+                ties[head].append((b, sign, head))
+                ties[b].append((head, sign, head))
+    lit = [0] * n_atoms
+    joined = set()
+    n_classes = 0
+    for a in range(n_atoms):
+        if lit[a]:
+            continue
+        n_classes += 1
+        lit[a] = n_classes
+        todo = [a]
+        for u in todo:  # grows while the walk reaches new atoms
+            for w, sign, head in ties[u]:
+                if not lit[w]:
+                    lit[w] = sign * lit[u]
+                    joined.add(head)
+                    todo.append(w)
+    return lit, joined
 
 
 def clark_completion(program: Program) -> tuple[Cnf, VarTable]:
-    """Completion clauses plus constraint clauses.
+    """Completion clauses plus constraint clauses, over the atom map.
 
     Per atom a with usable defining bodies B1..Bk (contradictory bodies are
     false disjuncts and drop out; duplicate bodies for the same head merge):
-    no bodies -> unit -a; a fact among them -> unit a; k == 1 -> direct
-    biconditional; k >= 2 -> one BODY_AUX b_i per multi-literal body with
-    b_i <-> B_i, then a <-> (d_1 | ... | d_k) over the disjunct literals.
-    Each integrity constraint contributes its one clause.
+    a definition that joined two classes of equivalent literals is left
+    out; otherwise no bodies -> unit -a; a fact among them -> unit a;
+    k == 1 -> direct biconditional; k >= 2 -> one BODY_AUX b_i per
+    multi-literal body with b_i <-> B_i, then a <-> (d_1 | ... | d_k) over
+    the disjunct literals. Each integrity constraint contributes its one
+    clause. Every atom is written as its literal, so a definition inside one
+    class becomes tautologies, which `Cnf.add` drops, or, when it
+    contradicts the class, the units r and -r.
     """
-    cnf = Cnf()
-    table = VarTable(program.n_atoms)
-
     by_head: dict[int, list[tuple[frozenset, frozenset]]] = {}
     for r in program.rules:
         if r.body_unsatisfiable:
@@ -109,23 +148,28 @@ def clark_completion(program: Program) -> tuple[Cnf, VarTable]:
         entries = by_head.setdefault(r.head, [])
         if (r.pos_body, r.neg_body) not in entries:
             entries.append((r.pos_body, r.neg_body))
+    lit, joined = _merge_equivalent_atoms(program.n_atoms, by_head)
+    cnf = Cnf()
+    table = VarTable(lit)
 
     for atom in range(program.n_atoms):
+        if atom in joined:
+            continue
         bodies = by_head.get(atom, [])
-        head_lit = pos_lit(atom)
+        head_lit = lit[atom]
         if not bodies:
             cnf.add([-head_lit])
             continue
         is_fact = any(not p and not n for p, n in bodies)
         if len(bodies) == 1 and not is_fact:
-            lits = _body_literals(*bodies[0])
+            lits = _body_literals(*bodies[0], lit)
             for l in lits:
                 cnf.add([-head_lit, l])
             cnf.add([-l for l in lits] + [head_lit])
             continue
         disjuncts = []
         for p, n in bodies:
-            lits = _body_literals(p, n)
+            lits = _body_literals(p, n, lit)
             if not lits:
                 continue  # the fact; handled below
             if len(lits) == 1:
@@ -145,21 +189,23 @@ def clark_completion(program: Program) -> tuple[Cnf, VarTable]:
             cnf.add([-d, head_lit])
 
     for c in program.constraints:
-        cnf.add([neg_lit(a) for a in c.pos] + [pos_lit(a) for a in c.neg])
+        cnf.add([-lit[a] for a in c.pos] + [lit[a] for a in c.neg])
     return cnf, table
 
 
 def copy_operation(program: Program, info: LoopInfo, table: VarTable) -> Cnf:
-    """Copy clauses: v' -> v per loop atom, and per rule whose head x is a
-    loop atom the clause  -a1' | ... | -ak' | -b1 | ... | -bm | c1 | ... | x'
-    (copies replace exactly the positive loop-atom body occurrences)."""
+    """Copy clauses: v' -> L[v] per loop atom v, and per rule whose head x is
+    a loop atom the clause  -a1' | ... | -ak' | -L[b1] | ... | -L[bm] |
+    L[c1] | ... | x'  (copies replace exactly the positive loop-atom body
+    occurrences). Tautologies are kept."""
     cnf = Cnf()
     if not info.loop_atoms:
         return cnf
+    lit = table.lit_of_atom
     for v in sorted(info.loop_atoms):
         table.copy_of_atom[v] = len(table)
     for v in sorted(info.loop_atoms):
-        cnf.add([-pos_lit(table.copy_of_atom[v]), pos_lit(v)])
+        cnf.add([-pos_lit(table.copy_of_atom[v]), lit[v]])
     for r in program.rules:
         if r.head not in info.loop_atoms:
             continue
@@ -168,8 +214,8 @@ def copy_operation(program: Program, info: LoopInfo, table: VarTable) -> Cnf:
             if b in info.loop_atoms:
                 lits.append(-pos_lit(table.copy_of_atom[b]))
             else:
-                lits.append(neg_lit(b))
-        lits += [pos_lit(c) for c in sorted(r.neg_body)]
+                lits.append(-lit[b])
+        lits += [lit[c] for c in sorted(r.neg_body)]
         lits.append(pos_lit(table.copy_of_atom[r.head]))
         cnf.add(lits, keep_tautology=True)
     return cnf
@@ -191,6 +237,11 @@ class PairFormula:
 
 
 def build_pair(program: Program) -> PairFormula:
+    """The pair of the program without the rules whose positive body is not
+    inside the derivable atoms: no answer set fires them."""
+    derivable = derivable_atoms(program)
+    rules = [r for r in program.rules if r.pos_body <= derivable]
+    program = Program(program.atoms, rules, program.constraints)
     info = compute_loop_atoms(build_dep_graph(program))
     completion, table = clark_completion(program)
     copies = copy_operation(program, info, table)
@@ -201,7 +252,8 @@ def emit_dimacs(pair: PairFormula) -> str:
     """Annotated DIMACS text of completion & copy clauses conjoined.
 
     Comment lines list the 1-based variable ids of each block (`c orig`,
-    `c aux`, `c copy`); empty blocks are omitted.
+    `c aux`, `c copy`; empty blocks are omitted), then the literal of each
+    atom in atom order (`c atoms`, omitted when there is no atom).
     """
     t = pair.vars
     blocks = (
@@ -213,6 +265,8 @@ def emit_dimacs(pair: PairFormula) -> str:
     for name, lo, hi in blocks:
         if lo < hi:
             out.append("c %s %s" % (name, " ".join(map(str, range(lo + 1, hi + 1)))))
+    if t.lit_of_atom:
+        out.append("c atoms %s" % " ".join(map(str, t.lit_of_atom)))
     clauses = pair.completion.clauses + pair.copy_clauses.clauses
     out.append("p cnf %d %d" % (pair.n_vars, len(clauses)))
     for c in clauses:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from aspcount.analysis import derivable_atoms
 from aspcount.oracle import residual
 from aspcount.program import Constraint, Program, Rule, SymbolTable
 
@@ -100,10 +101,33 @@ def satisfies_completion(program: Program, m: frozenset[int]) -> bool:
     return not any(c.pos <= m and not (c.neg & m) for c in program.constraints)
 
 
+def derivable_part(program: Program) -> Program:
+    """The program that build_pair encodes: the rules whose positive body
+    lies inside the derivable atoms."""
+    derivable = derivable_atoms(program)
+    rules = [r for r in program.rules if r.pos_body <= derivable]
+    return Program(program.atoms, rules, program.constraints)
+
+
+def class_values(pair, m: frozenset[int]) -> dict[int, bool] | None:
+    """The value of each original variable when exactly the atoms in m are
+    true, read through the atom -> literal map; None when m gives two atoms
+    of one class values their literals cannot both have."""
+    values: dict[int, bool] = {}
+    for a, lit in enumerate(pair.vars.lit_of_atom):
+        val = (a in m) == (lit > 0)
+        if values.setdefault(abs(lit) - 1, val) != val:
+            return None
+    return values
+
+
 def extends_to_completion_model(pair, m: frozenset[int]) -> bool:
-    """True iff the atom assignment for m, extended over the body-auxiliary
-    variables by evaluating their bodies, satisfies every completion clause."""
-    values = {a: a in m for a in range(pair.vars.n_original)}
+    """True iff the atom assignment for m, read through the atom map and
+    extended over the body-auxiliary variables by evaluating their bodies,
+    satisfies every completion clause."""
+    values = class_values(pair, m)
+    if values is None:
+        return False
     for (pos, neg), v in pair.vars.aux_of_body.items():
         values[v] = pos <= m and not (neg & m)
     return all(
@@ -113,8 +137,8 @@ def extends_to_completion_model(pair, m: frozenset[int]) -> bool:
 
 
 def copy_clauses_discharge(pair, m: frozenset[int]) -> bool:
-    tau = {a: (a in m) for a in range(pair.vars.n_original)}
-    return len(residual(pair.copy_clauses, tau).clauses) == 0
+    tau = class_values(pair, m)
+    return tau is not None and len(residual(pair.copy_clauses, tau).clauses) == 0
 
 
 def graph_ham_count(graph) -> int:

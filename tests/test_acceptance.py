@@ -22,10 +22,11 @@ from aspcount import (
     parse_program,
     residual,
 )
-from aspcount.encode import neg_lit, pos_lit
+from aspcount.encode import pos_lit
 
 from helpers import (
     EXAMPLE1,
+    class_values,
     copy_clauses_discharge,
     disjoint_union,
     extends_to_completion_model,
@@ -58,20 +59,23 @@ def test_c01_example1_fidelity():
         assert info.loop_atoms == {c, d}
 
         pair = build_pair(p)
-        cp = pair.vars.copy_of_atom
+        la, lb, lc, ld = (pair.vars.lit_of_atom[x] for x in (a, b, c, d))
+        assert lb == -la  # a :- not b. b :- not a. is one class
+        cc, cd = (pos_lit(pair.vars.copy_of_atom[x]) for x in (c, d))
         expected = {
-            _sorted_clause(neg_lit(cp[c]), pos_lit(c)),
-            _sorted_clause(neg_lit(cp[d]), pos_lit(d)),
-            _sorted_clause(neg_lit(a), neg_lit(b), pos_lit(cp[c])),
-            _sorted_clause(neg_lit(cp[d]), pos_lit(cp[c])),
-            _sorted_clause(neg_lit(a), pos_lit(cp[d])),
-            _sorted_clause(neg_lit(b), neg_lit(cp[c]), pos_lit(cp[d])),
+            _sorted_clause(-cc, lc),
+            _sorted_clause(-cd, ld),
+            _sorted_clause(-la, -lb, cc),
+            _sorted_clause(-cd, cc),
+            _sorted_clause(-la, cd),
+            _sorted_clause(-lb, -cc, cd),
         }
         assert set(pair.copy_clauses.clauses) == expected
 
-        tau1 = {b: True, a: False, c: False, d: False, e: False}
-        tau2 = {a: True, c: True, d: True, b: False, e: False}
-        tau3 = {b: True, c: True, d: True, a: False, e: False}
+        # the variable assignments of the atom sets {b}, {a, c, d}, {b, c, d}
+        tau1 = class_values(pair, frozenset({b}))
+        tau2 = class_values(pair, frozenset({a, c, d}))
+        tau3 = class_values(pair, frozenset({b, c, d}))
         assert residual(pair.copy_clauses, tau1).clauses == []
         assert residual(pair.copy_clauses, tau2).clauses == []
         assert residual(pair.copy_clauses, tau3).clauses != []
@@ -132,10 +136,10 @@ def test_c04_determinism_identity():
         for _ in range(100):
             p = random_program(rng)
             pair = build_pair(p)
-            x = rng.randrange(p.n_atoms)
+            x = pair.vars.lit_of_atom[rng.randrange(p.n_atoms)]
             total = Engine(pair).count()[0]
-            high = Engine(pair).count(assumptions=[pos_lit(x)])[0]
-            low = Engine(pair).count(assumptions=[neg_lit(x)])[0]
+            high = Engine(pair).count(assumptions=[x])[0]
+            low = Engine(pair).count(assumptions=[-x])[0]
             assert total == high + low
 
 

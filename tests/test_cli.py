@@ -33,6 +33,8 @@ REPORT_KEYS = {
     "n_copy_vars",
     "n_clauses_f",
     "n_clauses_g",
+    "n_vars",
+    "path",
 }
 
 
@@ -61,6 +63,8 @@ def test_count_stats_json_schema(example1, capsys):
     assert doc["n_atoms"] == 5
     assert doc["n_loop_atoms"] == doc["n_copy_vars"] == 2
     assert doc["n_clauses_g"] == 6
+    assert doc["n_vars"] == 8  # 4 classes (a and b are one), 2 aux, 2 copies
+    assert doc["path"] is None  # only hybrid takes a path
     assert doc["cache_entries"] > 0 and doc["peak_cache_bytes"] > 0
 
 
@@ -69,6 +73,20 @@ def test_analyze(example1, capsys):
     out = capsys.readouterr().out
     assert "tight: false" in out
     assert "loop_atoms: c d" in out
+    assert "underivable: \n" in out  # every atom of Example 1 is derivable
+    assert "warning" not in out
+
+
+def test_analyze_underivable_and_warnings(tmp_path, capsys):
+    path = tmp_path / "p.gnp"
+    path.write_text("a :- a.\nb :- not c.\nc :- d.\ne :- b, not b.\n")
+    assert run(["analyze", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "underivable: a c d" in lines
+    assert [l for l in lines if l.startswith("warning: ")] == [
+        "warning: body-unsatisfiable: e :- b, not b.",
+        "warning: never-in-head: d (completion forces it false)",
+    ]
 
 
 def test_analyze_dump_graph(example1, capsys):
@@ -86,6 +104,8 @@ def test_gen_chain_and_hybrid(tmp_path, capsys):
     doc = json.loads(captured.err.strip())
     assert doc["mode"] == "hybrid"
     assert doc["answer_count"] == "1048576"
+    assert doc["path"] == "counting"
+    assert doc["n_vars"] == 20  # one variable per negation pair
 
 
 def test_enumerate_limit_exceeded(tmp_path, capsys):
@@ -119,8 +139,9 @@ def test_translate(example1, tmp_path, capsys):
     out_path = tmp_path / "example1.cnf"
     assert run(["translate", example1, "-o", str(out_path)]) == 0
     text = out_path.read_text()
-    assert text.startswith("c orig 1 2 3 4 5\n")
-    assert "p cnf 9 " in text
+    assert text.startswith("c orig 1 2 3 4\n")  # a and b are one class
+    assert "c atoms 1 -1 2 3 4\n" in text
+    assert "p cnf 8 " in text
     assert run(["translate", example1]) == 0
     assert capsys.readouterr().out == text
 

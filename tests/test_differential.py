@@ -2,7 +2,9 @@
 agreement between the count, cache-off and enumeration modes and between
 a count and its split on one variable, propagation against a naive
 unit-resolution closure, the invariants of decompose that the exact
-cache key and decide rely on, and the key's exactness itself."""
+cache key and decide rely on, and the key's exactness itself. Below the
+cap, the encoder's preprocessing (dropped underivable rules, one variable
+per class of equivalent literals) is checked against the oracle."""
 
 import math
 import random
@@ -14,13 +16,16 @@ from hypothesis import strategies as st
 from aspcount import (
     Engine,
     ExactCount,
+    brute_force_count,
     build_pair,
     gen_hamiltonian,
     gen_reachability,
+    is_answer_set,
     parse_program,
     random_graph,
 )
 from aspcount import engine as engine_module
+from aspcount.analysis import derivable_atoms
 from aspcount.benchgen import Graph
 from aspcount.encode import Cnf, PairFormula, VarTable
 from aspcount.engine import cache_key_bytes
@@ -64,8 +69,12 @@ def block_programs(draw):
         cycle = draw(st.lists(st.sampled_from(derived), min_size=2, max_size=3, unique=True))
         others = [a for a in atoms if a not in cycle]
         for i, x in enumerate(cycle):
-            guard = atom_set(others, 1) if others else frozenset()
+            guard = atom_set(others, 1) if others and b else frozenset()
             rules.append(Rule(x, guard | {cycle[(i + 1) % len(cycle)]}, frozenset()))
+        if not b:
+            # block 0's cycle is unguarded and supported from outside it, so
+            # it stays derivable and build_pair keeps it: the pair is non-tight
+            rules.append(Rule(cycle[0], frozenset(), frozenset(choice[:1])))
         for _ in range(draw(st.integers(1, len(atoms)))):
             head = draw(st.sampled_from(derived))
             if draw(st.integers(0, 9)) == 0:
@@ -145,6 +154,87 @@ def test_cache_key_determines_residual(program):
 
 
 @st.composite
+def merge_programs(draw):
+    """A program of 2-9 atoms made mostly of the shapes the encoder
+    simplifies: one-literal rules, the head itself allowed (merged into one
+    variable per class unless they are self-loops), negation pairs, positive
+    cycles with or without outside support, the contradictory cycles
+    `a :- not a.` and `a :- not b. b :- a.`, plus facts, conjunctions of two
+    atoms, rules of up to four literals and constraints. Atoms that head no rule, or only rules over
+    such atoms, are underivable."""
+    n = draw(st.integers(2, 9))
+    atom = st.integers(0, n - 1)
+    rules, constraints = [], []
+
+    def rule(head, pos=(), neg=()):
+        rules.append(Rule(head, frozenset(pos), frozenset(neg)))
+
+    for _ in range(draw(st.integers(1, n + 3))):
+        kind = draw(st.sampled_from("oooooppccaalllxf"))
+        a, b = draw(atom), draw(atom)
+        if kind == "o":
+            rule(a, *([[b], []] if draw(st.booleans()) else [[], [b]]))
+        elif kind == "p":
+            rule(a, neg=[b])
+            rule(b, neg=[a])
+        elif kind == "c":
+            cycle = draw(st.lists(atom, min_size=1, max_size=3, unique=True))
+            for i, x in enumerate(cycle):
+                rule(x, pos=[cycle[(i + 1) % len(cycle)]])
+        elif kind == "a":
+            rule(a, pos=[b, draw(atom)])
+        elif kind == "l":
+            rule(a, draw(st.sets(atom, max_size=2)), draw(st.sets(atom, max_size=2)))
+        elif kind == "x" and a == b:
+            rule(a, neg=[a])
+        elif kind == "x":
+            rule(a, neg=[b])
+            rule(b, pos=[a])
+        else:
+            rule(a)
+    for _ in range(draw(st.integers(0, 2))):
+        pos, neg = draw(st.sets(atom, max_size=2)), draw(st.sets(atom, max_size=2))
+        if pos or neg:
+            constraints.append(Constraint(frozenset(pos), frozenset(neg)))
+    table = SymbolTable()
+    for a in range(n):
+        table.intern(f"a{a}")
+    return Program(table, rules, constraints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_programs())
+def test_preprocessing_keeps_every_answer_set(program):
+    expected = brute_force_count(program)
+    pair = build_pair(program)
+    assert Engine(pair).count()[0] == expected
+    assert Engine(pair, use_cache=False).count()[0] == expected
+    assert Engine(pair).enumerate_up_to(1 << program.n_atoms) == ExactCount(expected)
+    derivable = derivable_atoms(program)
+    for bits in range(1 << program.n_atoms):
+        m = frozenset(a for a in range(program.n_atoms) if bits >> a & 1)
+        assert m <= derivable or not is_answer_set(program, m)
+
+
+@pytest.mark.parametrize("n", [1, 30, 500])
+def test_path_pair_has_one_variable_per_negation_pair(n):
+    pair = build_pair(parse_program(path_text(n)))
+    assert pair.n_vars == n
+    assert Engine(pair).count()[0] == _fibonacci(n + 2)
+
+
+def test_unreachable_target_counts_zero_without_deciding():
+    # a cyclic graph on nodes 0-19 with no edge into node 20: r(20) is not
+    # derivable, so its unit -r(20) meets the constraint's unit r(20)
+    g = random_graph(20, 60, seed=2020)
+    program = gen_reachability(Graph(21, g.edges), 0, 20)
+    assert program.n_atoms == 59
+    n, stats = Engine(build_pair(program)).count()
+    assert n == 0
+    assert stats.decisions == 0
+
+
+@st.composite
 def clause_sets(draw):
     """(variable count, clauses, assumption literals). The clauses mix
     units, binaries, tautological binary copy clauses (x or not x, which
@@ -191,7 +281,7 @@ def _closure(clauses, true):
 @given(clause_sets())
 def test_propagate_matches_naive_closure(formula):
     n, cnf, assumptions = formula
-    eng = Engine(PairFormula(cnf, Cnf(), VarTable(n)))
+    eng = Engine(PairFormula(cnf, Cnf(), VarTable(list(range(1, n + 1)))))
     value = eng.lit_value
 
     def true_lits():

@@ -12,11 +12,12 @@ from aspcount import (
     is_answer_set,
     parse_program,
 )
-from aspcount.encode import neg_lit, pos_lit, var_of
+from aspcount.encode import Cnf, PairFormula, pos_lit, var_of
 
 from helpers import (
     EXAMPLE1,
     copy_clauses_discharge,
+    derivable_part,
     extends_to_completion_model,
     random_program,
     satisfies_completion,
@@ -27,29 +28,34 @@ def _clause(*lits):
     return tuple(sorted(lits, key=lambda l: (abs(l), l > 0)))
 
 
+def _lits(program, pair, names):
+    return [pair.vars.lit_of_atom[program.atoms.id_of(s)] for s in names]
+
+
 def test_single_rule_atom_clauses_match_truth_table():
-    pair = build_pair(parse_program(EXAMPLE1))
-    a, b, e = 0, 1, 4
-    involved = [c for c in pair.completion if any(abs(l) - 1 == e for l in c)]
-    expected = {
-        _clause(neg_lit(e), neg_lit(a)),
-        _clause(neg_lit(e), neg_lit(b)),
-        _clause(pos_lit(e), pos_lit(a), pos_lit(b)),
-    }
+    p = parse_program(EXAMPLE1)
+    pair = build_pair(p)
+    a, b, e = _lits(p, pair, "abe")
+    assert b == -a  # a :- not b. b :- not a. is one class
+    involved = [c for c in pair.completion if any(abs(l) == abs(e) for l in c)]
+    # the third clause, e | a | b, is the tautology e | a | -a: dropped
+    expected = {_clause(-e, -a), _clause(-e, -b)}
     assert set(involved) == expected
     # independent check: those clauses define e <-> (not a and not b)
-    for va, vb, ve in itertools.product([False, True], repeat=3):
-        val = {a: va, b: vb, e: ve}
-        sat = all(
-            any(val[abs(l) - 1] == (l > 0) for l in clause) for clause in expected
-        )
-        assert sat == (ve == ((not va) and (not vb)))
+    for va, ve in itertools.product([False, True], repeat=2):
+        val = {abs(a): va, abs(e): ve}
+
+        def holds(l):
+            return val[abs(l)] == (l > 0)
+
+        sat = all(any(holds(l) for l in clause) for clause in expected)
+        assert sat == (holds(e) == ((not holds(a)) and (not holds(b))))
 
 
 def test_atom_without_rules_is_forced_false():
     pair = build_pair(parse_program("a :- b."))
     b = 1
-    assert _clause(neg_lit(b)) in pair.completion.clauses
+    assert _clause(-pos_lit(b)) in pair.completion.clauses
 
 
 def test_fact_yields_unit_clause():
@@ -60,15 +66,15 @@ def test_fact_yields_unit_clause():
 def test_copy_operation_example1_exact():
     p = parse_program(EXAMPLE1)
     pair = build_pair(p)
-    a, b, c, d = (p.atoms.id_of(s) for s in "abcd")
-    cp = {atom: pair.vars.copy_of_atom[atom] for atom in (c, d)}
+    a, b, c, d = _lits(p, pair, "abcd")
+    cc, cd = (pos_lit(pair.vars.copy_of_atom[p.atoms.id_of(s)]) for s in "cd")
     expected = {
-        _clause(neg_lit(cp[c]), pos_lit(c)),
-        _clause(neg_lit(cp[d]), pos_lit(d)),
-        _clause(neg_lit(a), neg_lit(b), pos_lit(cp[c])),
-        _clause(neg_lit(cp[d]), pos_lit(cp[c])),
-        _clause(neg_lit(a), pos_lit(cp[d])),
-        _clause(neg_lit(b), neg_lit(cp[c]), pos_lit(cp[d])),
+        _clause(-cc, c),
+        _clause(-cd, d),
+        _clause(-a, -b, cc),  # -a | a | c': a copy clause keeps its tautology
+        _clause(-cd, cc),
+        _clause(-a, cd),
+        _clause(-b, -cc, cd),
     }
     assert set(pair.copy_clauses.clauses) == expected
     assert len(pair.copy_clauses) == 6
@@ -80,17 +86,26 @@ def test_tight_program_has_no_copy_clauses():
     assert not pair.copy_vars
 
 
+def test_underivable_self_loop_is_a_unit():
+    # a :- a. alone can never fire: a is outside the derivable atoms
+    pair = build_pair(parse_program("a :- a."))
+    assert pair.completion.clauses == [(-pos_lit(0),)]
+    assert not pair.copy_vars and len(pair.copy_clauses) == 0
+
+
 def test_self_loop_keeps_cyclic_copy_clause():
-    # dropping the both-polarity clause would let a justify itself and
-    # miscount a <- a as having two answer sets instead of one
-    p = parse_program("a :- a.")
+    # a is derivable (through not b) but unsupported where b holds; dropping
+    # the both-polarity clause would let a justify itself there and miscount
+    # 3 answer sets instead of 2
+    p = parse_program("a :- a.\na :- not b.\nb :- not c.\nc :- not b.")
     pair = build_pair(p)
-    cp = pair.vars.copy_of_atom[0]
-    assert set(pair.copy_clauses.clauses) == {
-        _clause(neg_lit(cp), pos_lit(0)),
-        _clause(neg_lit(cp), pos_lit(cp)),
-    }
-    assert Engine(pair).count()[0] == brute_force_count(p) == 1
+    a, b = _lits(p, pair, "ab")
+    cp = pos_lit(pair.vars.copy_of_atom[0])
+    taut = _clause(-cp, cp)
+    assert set(pair.copy_clauses.clauses) == {_clause(-cp, a), taut, _clause(b, cp)}
+    assert Engine(pair).count()[0] == brute_force_count(p) == 2
+    dropped = Cnf(c for c in pair.copy_clauses if c != taut)
+    assert Engine(PairFormula(pair.completion, dropped, pair.vars)).count()[0] == 3
 
 
 def test_build_pair_example1_invariants():
@@ -103,13 +118,15 @@ def test_build_pair_example1_invariants():
     for clause in pair.copy_clauses:
         assert any(abs(l) - 1 in copy_vars for l in clause)
     t = pair.vars
-    assert t.n_original == 5
+    assert t.n_original == 4  # a and b are one class
     assert t.first_copy - t.n_original == 2  # auxiliaries
     assert pair.n_vars - t.first_copy == 2  # copies
 
 
 def test_variable_blocks_on_random_programs():
-    # originals, auxiliaries and copies are contiguous blocks in that order
+    # originals, auxiliaries and copies are contiguous blocks in that order;
+    # the originals are one variable per class of the atom map, numbered by
+    # each class's smallest atom, whose literal is positive
     rng = random.Random(23)
     programs = [random_program(rng) for _ in range(80)]
     programs.append(parse_program("a :- b, not c.\na :- not b.\nb :- not c.\nc :- not b."))
@@ -119,7 +136,10 @@ def test_variable_blocks_on_random_programs():
         pair = build_pair(p)
         t = pair.vars
         first, n = t.first_copy, pair.n_vars
-        assert t.n_original == p.n_atoms
+        lits = t.lit_of_atom
+        assert len(lits) == p.n_atoms
+        firsts = [a for a in range(p.n_atoms) if abs(lits[a]) not in map(abs, lits[:a])]
+        assert [lits[a] for a in firsts] == list(range(1, t.n_original + 1))
         assert sorted(t.aux_of_body.values()) == list(range(t.n_original, first))
         assert sorted(t.copy_of_atom.values()) == list(range(first, n))
         assert pair.copy_vars == range(first, n)
@@ -129,11 +149,13 @@ def test_variable_blocks_on_random_programs():
 
         blocks = {"orig": (0, t.n_original), "aux": (t.n_original, first), "copy": (first, n)}
         expected = {k: list(range(lo + 1, hi + 1)) for k, (lo, hi) in blocks.items() if lo < hi}
+        if lits:
+            expected["atoms"] = lits
         lines = [l.split() for l in emit_dimacs(pair).splitlines() if l.startswith("c ")]
         assert {w[1]: [int(x) for x in w[2:]] for w in lines} == expected
         assert [w[1] for w in lines] == list(expected)  # in block order
 
-        tight = not compute_loop_atoms(build_dep_graph(p)).loop_atoms
+        tight = not compute_loop_atoms(build_dep_graph(derivable_part(p))).loop_atoms
         assert (not pair.copy_vars) == tight
         seen_aux += first > t.n_original
         seen_copy += n > first
@@ -150,7 +172,8 @@ def test_empty_program_pair():
 def test_choice_chain_is_pure_completion():
     pair = build_pair(gen_choice_chain(20))
     assert len(pair.copy_clauses) == 0
-    assert pair.n_vars == 40  # one-literal bodies need no auxiliaries
+    assert len(pair.completion) == 0
+    assert pair.n_vars == 20  # one variable per negation pair
     assert Engine(pair).count()[0] == 1 << 20
 
 
@@ -158,14 +181,15 @@ def test_emit_dimacs_example1():
     pair = build_pair(parse_program(EXAMPLE1))
     text = emit_dimacs(pair)
     lines = text.strip().split("\n")
-    assert lines[0] == "c orig 1 2 3 4 5"
+    assert lines[0] == "c orig 1 2 3 4"
     assert lines[1].startswith("c aux ") and len(lines[1].split()) == 4
     assert lines[2].startswith("c copy ") and len(lines[2].split()) == 4
-    header = lines[3].split()
+    assert lines[3] == "c atoms 1 -1 2 3 4"  # a, b, c, d, e
+    header = lines[4].split()
     assert header[:2] == ["p", "cnf"]
-    assert int(header[2]) == 9  # 5 originals + 2 aux + 2 copies
+    assert int(header[2]) == 8  # 4 originals + 2 aux + 2 copies
     n_clauses = int(header[3])
-    body = lines[4:]
+    body = lines[5:]
     assert len(body) == n_clauses == len(pair.completion) + len(pair.copy_clauses)
     assert all(line.endswith(" 0") for line in body)
 
@@ -192,8 +216,11 @@ def test_aux_variables_preserve_model_count():
                 for clause in pair.completion
             ):
                 full += 1
+        # the completion of the rules build_pair keeps; the atom map is one
+        # to one on its models
+        kept = derivable_part(p)
         plain = sum(
-            satisfies_completion(p, frozenset(m))
+            satisfies_completion(kept, frozenset(m))
             for k in range(p.n_atoms + 1)
             for m in itertools.combinations(range(p.n_atoms), k)
         )

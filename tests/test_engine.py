@@ -31,19 +31,21 @@ def test_propagate_example1_after_b():
     p = parse_program(EXAMPLE1)
     pair = build_pair(p)
     eng = Engine(pair)
-    a, b, c, d, e = range(5)
-    assert eng.assign(pos_lit(b))
+    a, b, c, d, e = pair.vars.lit_of_atom
+    assert eng.assign(b)
     assert eng.propagate() is None
     n = eng.n_vars
-    assert eng.lit_value[n + pos_lit(a)] == 0
-    assert eng.lit_value[n + pos_lit(e)] == 0
-    assert eng.lit_value[n + pos_lit(c)] == -1
-    assert eng.lit_value[n + pos_lit(d)] == -1
+    assert eng.lit_value[n + a] == 0
+    assert eng.lit_value[n + e] == 0
+    assert eng.lit_value[n + c] == -1
+    assert eng.lit_value[n + d] == -1
 
 
 def test_count_rejects_assumptions_outside_the_formula():
-    eng = Engine(_pair("a :- not b.\nb :- not a."))
-    assert eng.count([pos_lit(0)])[0] == eng.count([-pos_lit(1)])[0] == 1
+    pair = _pair("a :- not b.\nb :- not a.")
+    a, b = pair.vars.lit_of_atom
+    eng = Engine(pair)
+    assert eng.count([a])[0] == eng.count([-b])[0] == 1
     for lit in (0, eng.n_vars + 1, -eng.n_vars - 1):
         with pytest.raises(ValueError):
             eng.count([lit])
@@ -51,19 +53,20 @@ def test_count_rejects_assumptions_outside_the_formula():
 
 def test_propagate_detects_false_unit():
     pair = _pair("a :- not b.\nb :- not a.")
+    a, b = pair.vars.lit_of_atom
     eng = Engine(pair)
-    assert eng.assign(pos_lit(0))
+    assert eng.assign(a)
     assert eng.propagate() is None
     # b is now false; asserting it true contradicts
-    assert not eng.assign(pos_lit(1))
+    assert not eng.assign(b)
 
 
 def test_full_assignment_leaves_copy_component():
     p = parse_program(EXAMPLE1)
     pair = build_pair(p)
     eng = Engine(pair)
-    a, b, c, d, e = range(5)
-    for lit in (pos_lit(b), pos_lit(c), pos_lit(d), -pos_lit(a), -pos_lit(e)):
+    a, b, c, d, e = pair.vars.lit_of_atom
+    for lit in (b, c, d, -a, -e):
         assert eng.assign(lit)
     assert eng.propagate() is None
     comps = eng.decompose(range(pair.n_vars))
@@ -111,8 +114,9 @@ def test_clause_free_component_doubles_per_free_non_copy():
 
     pair = build_pair(parse_program(EXAMPLE1))
     eng = Engine(pair)
-    # a and b free with every clause satisfied, so decompose gives each its
-    # own singleton; a free copy adds no factor
+    # two non-copy variables (the class of a and b, and c) free with every
+    # clause satisfied, so decompose gives each its own singleton; a free
+    # copy adds no factor
     free = (0, 1, pair.vars.first_copy)
     assert eng._search([Component((v,), ()) for v in free]) == 4
 
@@ -126,11 +130,14 @@ def test_decide_none_on_empty_component():
 
 def test_decide_starts_path_in_its_middle_third():
     program = parse_program(path_text(301))
-    eng = Engine(build_pair(program))
+    pair = build_pair(program)
+    eng = Engine(pair)
     assert eng._apply_initial()
     (root,) = eng.decompose(range(eng.n_vars))
-    # x_i or y_i; the lowest-index tie-break alone would pick x_1
-    i = int(program.symbol(eng.decide(root))[1:])
+    # the class of x_i and y_i; the lowest-index tie-break alone would pick x_1
+    v = eng.decide(root)
+    atom = pair.vars.lit_of_atom.index(v + 1)  # x_i, the class's smallest atom
+    i = int(program.symbol(atom)[1:])
     assert 100 <= i <= 200
 
 
@@ -191,7 +198,8 @@ def test_decompose_all_satisfied_yields_free_singletons():
 @pytest.mark.parametrize(
     "text",
     [
-        "a :- a.",
+        # a is derivable, and unsupported where b holds
+        "a :- a.\na :- not b.\nb :- not c.\nc :- not b.",
         "a :- a.\na :- not b.\nb :- not a.",
         # a two-atom loop, a self-loop on b and a's external support
         "a :- b.\nb :- a.\nb :- b.\na :- not c.\nc :- not a.",
@@ -248,10 +256,10 @@ def test_determinism_identity():
     for _ in range(40):
         p = random_program(rng)
         pair = build_pair(p)
-        x = rng.randrange(p.n_atoms)
+        x = pair.vars.lit_of_atom[rng.randrange(p.n_atoms)]
         total = Engine(pair).count()[0]
-        high = Engine(pair).count(assumptions=[pos_lit(x)])[0]
-        low = Engine(pair).count(assumptions=[-pos_lit(x)])[0]
+        high = Engine(pair).count(assumptions=[x])[0]
+        low = Engine(pair).count(assumptions=[-x])[0]
         assert total == high + low
 
 
