@@ -12,9 +12,10 @@ one. Variables come in three contiguous blocks, in this order (see
 
   original  one per class of equivalent atom literals; atom a is the
             literal `lit_of_atom[a]`, positive for the class's smallest atom
-  aux       one per distinct rule body with >= 2 literals whose head atom
-            has >= 2 defining rules (full biconditional, so the model count
-            of the completion over all variables equals the count over atoms)
+  aux       one per distinct set of >= 2 body literals, read through the
+            atom map, with no pair l, -l, that a head without a fact has
+            beside another set (full biconditional, so the model count of
+            the completion over all variables equals the count over atoms)
   copy      one fresh variable per loop atom
 
 The completion CNF never mentions copy variables; every copy clause mentions
@@ -28,6 +29,7 @@ not be simplified away.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 
 from .analysis import LoopInfo, build_dep_graph, compute_loop_atoms, derivable_atoms
 from .program import AtomId, Program
@@ -51,7 +53,7 @@ class VarTable:
     def __init__(self, lit_of_atom: list[int]):
         self.lit_of_atom = lit_of_atom
         self.n_original = max(map(abs, lit_of_atom), default=0)
-        self.aux_of_body: dict[tuple[frozenset, frozenset], int] = {}
+        self.aux_of_body: dict[frozenset[int], int] = {}
         self.copy_of_atom: dict[AtomId, int] = {}
 
     @property
@@ -91,26 +93,21 @@ class Cnf:
         return iter(self.clauses)
 
 
-def _body_literals(pos, neg, lit) -> list[int]:
-    return [lit[a] for a in sorted(pos)] + [-lit[a] for a in sorted(neg)]
-
-
-def _merge_equivalent_atoms(n_atoms: int, by_head) -> tuple[list[int], set[int]]:
-    """The literal of each atom, one variable per class of atoms that a
-    head's only body ties together when that body is one literal other than
-    the head, numbered by each class's smallest atom; and the heads whose
-    definition joined two classes, which the completion then leaves out."""
-    ties: list[list[tuple[int, int, int]]] = [[] for _ in range(n_atoms)]
+def _merge_equivalent_atoms(n_atoms: int, by_head) -> list[int]:
+    """The literal of each atom: one variable per class of atoms that a
+    head's only usable body ties together when that body is one literal
+    other than the head, numbered by each class's smallest atom."""
+    ties: list[list[tuple[int, int]]] = [[] for _ in range(n_atoms)]
     for head, bodies in by_head.items():
-        if len(bodies) == 1 and len(bodies[0][0]) + len(bodies[0][1]) == 1:
-            pos, neg = bodies[0]
-            (b,) = pos or neg
-            if b != head:  # a self-loop a :- a. keeps its own variable
-                sign = 1 if pos else -1
-                ties[head].append((b, sign, head))
-                ties[b].append((head, sign, head))
+        if len(bodies) == 1:
+            ((pos, neg),) = bodies
+            if len(pos) + len(neg) == 1:
+                (b,) = pos or neg
+                if b != head:  # a self-loop a :- a. keeps its own variable
+                    sign = 1 if pos else -1
+                    ties[head].append((b, sign))
+                    ties[b].append((head, sign))
     lit = [0] * n_atoms
-    joined = set()
     n_classes = 0
     for a in range(n_atoms):
         if lit[a]:
@@ -119,74 +116,66 @@ def _merge_equivalent_atoms(n_atoms: int, by_head) -> tuple[list[int], set[int]]
         lit[a] = n_classes
         todo = [a]
         for u in todo:  # grows while the walk reaches new atoms
-            for w, sign, head in ties[u]:
+            for w, sign in ties[u]:
                 if not lit[w]:
                     lit[w] = sign * lit[u]
-                    joined.add(head)
                     todo.append(w)
-    return lit, joined
+    return lit
 
 
 def clark_completion(program: Program) -> tuple[Cnf, VarTable]:
     """Completion clauses plus constraint clauses, over the atom map.
 
-    Per atom a with usable defining bodies B1..Bk (contradictory bodies are
-    false disjuncts and drop out; duplicate bodies for the same head merge):
-    a definition that joined two classes of equivalent literals is left
-    out; otherwise no bodies -> unit -a; a fact among them -> unit a;
-    k == 1 -> direct biconditional; k >= 2 -> one BODY_AUX b_i per
-    multi-literal body with b_i <-> B_i, then a <-> (d_1 | ... | d_k) over
-    the disjunct literals. Each integrity constraint contributes its one
-    clause. Every atom is written as its literal, so a definition inside one
-    class becomes tautologies, which `Cnf.add` drops, or, when it
-    contradicts the class, the units r and -r.
+    Each distinct body of a head is read once, as its set of literals
+    through the map, and that set decides every case. Per head h: a set
+    holding l and -l drops out; equal sets merge; an empty set (a fact)
+    gives the unit h; otherwise h <-> (d_1 | ... | d_k), the unit -h when no
+    set is left, where d_i is the set's lone literal, h itself when the set
+    is h's only one, or else the set's BODY_AUX with d_i <-> set, shared by
+    every head with an equal set. Each integrity constraint contributes its
+    one clause. The completion entails a <-> L[a], so a contradictory set is
+    false in every model, equal sets are equivalent, and an auxiliary is a
+    function of the originals. The definition that joined h's class reads
+    as {h} and gives only tautologies, which are not emitted; one that
+    contradicts its class gives the units r and -r.
     """
-    by_head: dict[int, list[tuple[frozenset, frozenset]]] = {}
+    by_head: dict[AtomId, dict[tuple[frozenset, frozenset], None]] = {}
     for r in program.rules:
-        if r.body_unsatisfiable:
-            continue
-        entries = by_head.setdefault(r.head, [])
-        if (r.pos_body, r.neg_body) not in entries:
-            entries.append((r.pos_body, r.neg_body))
-    lit, joined = _merge_equivalent_atoms(program.n_atoms, by_head)
+        if not r.body_unsatisfiable:  # the merge counts usable bodies only
+            by_head.setdefault(r.head, {})[r.pos_body, r.neg_body] = None
+    lit = _merge_equivalent_atoms(program.n_atoms, by_head)
     cnf = Cnf()
     table = VarTable(lit)
 
-    for atom in range(program.n_atoms):
-        if atom in joined:
-            continue
-        bodies = by_head.get(atom, [])
-        head_lit = lit[atom]
-        if not bodies:
-            cnf.add([-head_lit])
-            continue
-        is_fact = any(not p and not n for p, n in bodies)
-        if len(bodies) == 1 and not is_fact:
-            lits = _body_literals(*bodies[0], lit)
-            for l in lits:
-                cnf.add([-head_lit, l])
-            cnf.add([-l for l in lits] + [head_lit])
+    for atom, h in enumerate(lit):
+        sets: dict[frozenset[int], list[int]] = {}
+        for p, n in by_head.get(atom, ()):
+            lits = [lit[a] for a in sorted(p)] + [-lit[a] for a in sorted(n)]
+            key = frozenset(lits)
+            if key.isdisjoint(map(neg, key)):
+                sets.setdefault(key, lits)
+        if frozenset() in sets:
+            cnf.add([h])
             continue
         disjuncts = []
-        for p, n in bodies:
-            lits = _body_literals(p, n, lit)
-            if not lits:
-                continue  # the fact; handled below
-            if len(lits) == 1:
-                disjuncts.append(lits[0])
+        for key, lits in sets.items():
+            if len(key) == 1:
+                d = lits[0]
             else:
-                # the next id, unless an earlier head has the same body
-                b = pos_lit(table.aux_of_body.setdefault((p, n), len(table)))
+                d = h
+                if len(sets) > 1:  # the next id, unless an earlier head has this set
+                    d = pos_lit(table.aux_of_body.setdefault(key, len(table)))
                 for l in lits:
-                    cnf.add([-b, l])
-                cnf.add([b] + [-l for l in lits])
-                disjuncts.append(b)
-        if is_fact:
-            cnf.add([head_lit])
-            continue
-        cnf.add([-head_lit] + disjuncts)
+                    cnf.add([-d, l])
+                cnf.add([d] + [-l for l in lits])
+            disjuncts.append(d)
+        # a disjunct h, from the set {h} or naming h's only set, makes this
+        # clause a tautology, as it makes -h | h
+        if h not in disjuncts:
+            cnf.add([-h] + disjuncts)
         for d in disjuncts:
-            cnf.add([-d, head_lit])
+            if d != h:
+                cnf.add([-d, h])
 
     for c in program.constraints:
         cnf.add([-lit[a] for a in c.pos] + [lit[a] for a in c.neg])

@@ -182,16 +182,17 @@ class Engine:
         self._tie: list[int] | None = None
         self._tie_span = 0
 
+        self.stats = RunStats()
         self.reset()
 
     # -- assignment & propagation ------------------------------------------
 
     def reset(self):
-        """A fresh empty assignment, trail, statistics and cache."""
+        """A fresh empty assignment, trail and cache; the statistics are
+        begun by each public search call."""
         self.lit_value = [-1] * (2 * self.n_vars + 1)
         self.trail: list[int] = []
         self.qhead = 0
-        self.stats = RunStats()
         self._cache: OrderedDict[bytes, int] = OrderedDict()
         self._cache_bytes = 0
 
@@ -495,6 +496,7 @@ class Engine:
             if not 0 < abs(lit) <= self.n_vars:
                 raise ValueError(f"assumption {lit} is not a literal of this formula")
         self._arm_deadline()
+        self.stats = RunStats()
         return self._count(assumptions)
 
     def _count(self, assumptions=()) -> tuple[int, RunStats]:
@@ -670,6 +672,7 @@ class Engine:
         no component product. Exceeded(elapsed) once `limit` is passed. The
         time budget runs from this call."""
         self._arm_deadline()
+        self.stats = RunStats()
         return self._enumerate(limit)
 
     def _enumerate(self, limit: int):
@@ -686,17 +689,13 @@ class Engine:
 
     def hybrid(self, threshold: int = DEFAULT_ENUM_THRESHOLD) -> tuple[int, RunStats]:
         """Enumerate up to `threshold` answer sets; fall back to counting.
-        One time budget, run from this call, covers both phases."""
+        One time budget, run from this call, covers both phases, and one
+        RunStats: counting adds to the enumeration's counters, and `path`
+        names the phase running, also in a ResourceLimitError's stats."""
         self._arm_deadline()
+        self.stats = RunStats(path="enumeration")
         result = self._enumerate(threshold)
         if isinstance(result, ExactCount):
-            stats = self._finalize()
-            stats.path = "enumeration"
-            return result.count, stats
-        enum_stats = self.stats  # _count binds a fresh RunStats
-        n, stats = self._count()
-        stats.decisions += enum_stats.decisions
-        stats.propagations += enum_stats.propagations
-        stats.bcp_time += enum_stats.bcp_time
-        stats.path = "counting"
-        return n, stats
+            return result.count, self._finalize()
+        self.stats.path = "counting"
+        return self._count()

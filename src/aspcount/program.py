@@ -50,10 +50,6 @@ class Rule:
     neg_body: frozenset[AtomId]
 
     @property
-    def is_fact(self) -> bool:
-        return not self.pos_body and not self.neg_body
-
-    @property
     def body_unsatisfiable(self) -> bool:
         # pos and neg share an atom: the body can never hold
         return bool(self.pos_body & self.neg_body)

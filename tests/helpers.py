@@ -123,13 +123,13 @@ def class_values(pair, m: frozenset[int]) -> dict[int, bool] | None:
 
 def extends_to_completion_model(pair, m: frozenset[int]) -> bool:
     """True iff the atom assignment for m, read through the atom map and
-    extended over the body-auxiliary variables by evaluating their bodies,
-    satisfies every completion clause."""
+    extended over the body-auxiliary variables by evaluating their sets of
+    body literals, satisfies every completion clause."""
     values = class_values(pair, m)
     if values is None:
         return False
-    for (pos, neg), v in pair.vars.aux_of_body.items():
-        values[v] = pos <= m and not (neg & m)
+    for body, v in pair.vars.aux_of_body.items():
+        values[v] = all(values[abs(l) - 1] == (l > 0) for l in body)
     return all(
         any(values[abs(l) - 1] == (l > 0) for l in clause)
         for clause in pair.completion

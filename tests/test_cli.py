@@ -63,7 +63,7 @@ def test_count_stats_json_schema(example1, capsys):
     assert doc["n_atoms"] == 5
     assert doc["n_loop_atoms"] == doc["n_copy_vars"] == 2
     assert doc["n_clauses_g"] == 6
-    assert doc["n_vars"] == 8  # 4 classes (a and b are one), 2 aux, 2 copies
+    assert doc["n_vars"] == 7  # 4 classes (a and b are one), 1 aux, 2 copies
     assert doc["path"] is None  # only hybrid takes a path
     assert doc["cache_entries"] > 0 and doc["peak_cache_bytes"] > 0
 
@@ -139,9 +139,10 @@ def test_translate(example1, tmp_path, capsys):
     out_path = tmp_path / "example1.cnf"
     assert run(["translate", example1, "-o", str(out_path)]) == 0
     text = out_path.read_text()
-    assert text.startswith("c orig 1 2 3 4\n")  # a and b are one class
+    # a and b are one class; c :- a, b. reads as {a, -a} and gets no auxiliary
+    assert text.startswith("c orig 1 2 3 4\nc aux 5\nc copy 6 7\n")
     assert "c atoms 1 -1 2 3 4\n" in text
-    assert "p cnf 8 " in text
+    assert "p cnf 7 15\n" in text
     assert run(["translate", example1]) == 0
     assert capsys.readouterr().out == text
 
@@ -247,6 +248,22 @@ def test_python_dash_m(example1):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "2\n")
+
+
+def test_hybrid_cut_in_counting_reports_both_phases(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "chain.gnp"
+    assert run(["gen", "chain", "8", "-o", str(path)]) == 0
+
+    def check(self):
+        if self.stats.cache_lookups:
+            raise aspcount.ResourceLimitError("time budget exhausted", self._finalize())
+
+    monkeypatch.setattr(aspcount.Engine, "_check_deadline", check)
+    assert run(["hybrid", str(path), "--threshold", "1", "--stats", "json"]) == 2
+    doc = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert doc["answer_count"] == "exceeded" and doc["path"] == "counting"
+    # enumeration's: 8 down to the first answer and 1 more to the second
+    assert doc["decisions"] == 9
 
 
 def test_no_cache_flag(example1, capsys):

@@ -38,9 +38,10 @@ def test_single_rule_atom_clauses_match_truth_table():
     a, b, e = _lits(p, pair, "abe")
     assert b == -a  # a :- not b. b :- not a. is one class
     involved = [c for c in pair.completion if any(abs(l) == abs(e) for l in c)]
-    # the third clause, e | a | b, is the tautology e | a | -a: dropped
-    expected = {_clause(-e, -a), _clause(-e, -b)}
-    assert set(involved) == expected
+    # e :- not a, not b. reads as the set {-a, a}, which is false: e has no
+    # usable body, so its one clause is the unit -e
+    expected = {_clause(-e)}
+    assert set(involved) == expected and len(involved) == 1
     # independent check: those clauses define e <-> (not a and not b)
     for va, ve in itertools.product([False, True], repeat=2):
         val = {abs(a): va, abs(e): ve}
@@ -78,6 +79,57 @@ def test_copy_operation_example1_exact():
     }
     assert set(pair.copy_clauses.clauses) == expected
     assert len(pair.copy_clauses) == 6
+
+
+def test_example1_bodies_the_map_contradicts_drop_out():
+    # b is -a, so c :- a, b. reads as {a, -a} and e :- not a, not b. as
+    # {-a, a}: both are false, with no auxiliary and no clause; the copy
+    # clauses, built from the rules as written, are still the paper's six
+    p = parse_program(EXAMPLE1)
+    pair = build_pair(p)
+    a, b, c, d, e = _lits(p, pair, "abcde")
+    assert pair.n_vars == 7  # 4 classes, 1 auxiliary, 2 copies
+    assert pair.vars.aux_of_body == {frozenset({b, c}): 4}
+    x = pos_lit(4)
+    assert set(pair.completion.clauses) == {
+        _clause(-c, d),
+        _clause(-d, c),
+        _clause(-x, b),
+        _clause(-x, c),
+        _clause(x, -b, -c),
+        _clause(-d, a, x),
+        _clause(-a, d),
+        _clause(-x, d),
+        _clause(-e),
+    }
+    assert len(pair.completion) == 9
+    cc = pos_lit(pair.vars.copy_of_atom[p.atoms.id_of("c")])
+    assert len(pair.copy_clauses) == 6 and _clause(-a, -b, cc) in pair.copy_clauses
+
+
+def _choices(names):
+    return "".join(f"{x} :- not n{x}.\nn{x} :- not {x}.\n" for x in names)
+
+
+def test_fact_makes_no_auxiliary():
+    p = parse_program("a.\na :- b, c.\na :- d, e.\n" + _choices("bcde"))
+    pair = build_pair(p)
+    assert not pair.vars.aux_of_body
+    assert pair.completion.clauses == [_clause(*_lits(p, pair, "a"))]
+    assert pair.n_vars == 5
+    assert Engine(pair).count()[0] == brute_force_count(p) == 16
+
+
+def test_equal_literal_bodies_share_one_auxiliary():
+    # q's body x, not ny is p's body x, y through the map, as y is -ny
+    text = "p :- x, y.\np :- z.\nq :- x, not ny.\nq :- not nz.\n" + _choices("xyz")
+    p = parse_program(text)
+    pair = build_pair(p)
+    x, y, ny = _lits(p, pair, ["x", "y", "ny"])
+    assert ny == -y
+    assert list(pair.vars.aux_of_body) == [frozenset({x, y})]
+    assert pair.n_vars == 6  # p, q, x, y, z and the one auxiliary
+    assert Engine(pair).count()[0] == brute_force_count(p) == 8
 
 
 def test_tight_program_has_no_copy_clauses():
@@ -119,7 +171,7 @@ def test_build_pair_example1_invariants():
         assert any(abs(l) - 1 in copy_vars for l in clause)
     t = pair.vars
     assert t.n_original == 4  # a and b are one class
-    assert t.first_copy - t.n_original == 2  # auxiliaries
+    assert t.first_copy - t.n_original == 1  # auxiliaries: d's body b, c only
     assert pair.n_vars - t.first_copy == 2  # copies
 
 
@@ -182,12 +234,12 @@ def test_emit_dimacs_example1():
     text = emit_dimacs(pair)
     lines = text.strip().split("\n")
     assert lines[0] == "c orig 1 2 3 4"
-    assert lines[1].startswith("c aux ") and len(lines[1].split()) == 4
-    assert lines[2].startswith("c copy ") and len(lines[2].split()) == 4
+    assert lines[1] == "c aux 5"
+    assert lines[2] == "c copy 6 7"
     assert lines[3] == "c atoms 1 -1 2 3 4"  # a, b, c, d, e
     header = lines[4].split()
     assert header[:2] == ["p", "cnf"]
-    assert int(header[2]) == 8  # 4 originals + 2 aux + 2 copies
+    assert int(header[2]) == 7  # 4 originals + 1 aux + 2 copies
     n_clauses = int(header[3])
     body = lines[5:]
     assert len(body) == n_clauses == len(pair.completion) + len(pair.copy_clauses)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import time
@@ -36,7 +37,10 @@ def test_propagate_example1_after_b():
     assert eng.propagate() is None
     n = eng.n_vars
     assert eng.lit_value[n + a] == 0
-    assert eng.lit_value[n + e] == 0
+    # e :- not a, not b. reads as {-a, a} and drops out: e is only in its
+    # unit -e, which _apply_initial sets and propagate does not
+    assert (-e,) in pair.completion.clauses
+    assert eng.lit_value[n + e] == -1
     assert eng.lit_value[n + c] == -1
     assert eng.lit_value[n + d] == -1
 
@@ -93,7 +97,9 @@ def test_decide_skips_copy_vars():
     pair = build_pair(p)
     eng = Engine(pair)
     comps = eng.decompose(range(pair.n_vars))
-    assert len(comps) == 1
+    # e's only clause is its unit -e, so it is a singleton beside the rest
+    e = pair.vars.lit_of_atom[p.atoms.id_of("e")]
+    assert [comp.vars for comp in comps[1:]] == [(abs(e) - 1,)]
     v = eng.decide(comps[0])
     assert v is not None and v not in pair.copy_vars
 
@@ -173,16 +179,19 @@ def test_tie_ranks_are_built_by_counting_only():
 def test_decompose_disjoint_copies():
     p1 = parse_program(EXAMPLE1)
     p2 = parse_program(EXAMPLE1)
-    both = build_pair(
-        parse_program(
-            EXAMPLE1 + EXAMPLE1.replace("a", "a2").replace("b", "b2")
-            .replace("c", "c2").replace("d", "d2").replace("e", "e2")
-        )
+    program = parse_program(
+        EXAMPLE1 + EXAMPLE1.replace("a", "a2").replace("b", "b2")
+        .replace("c", "c2").replace("d", "d2").replace("e", "e2")
     )
+    both = build_pair(program)
     eng = Engine(both)
     assert eng.propagate() is None
     comps = eng.decompose(range(both.n_vars))
-    assert len(comps) == 2
+    # one component per copy, plus e and e2, whose only clauses are their
+    # units -e and -e2, which propagate does not set
+    e_vars = [abs(both.vars.lit_of_atom[program.atoms.id_of(s)]) - 1 for s in ("e", "e2")]
+    assert len(comps) == 4
+    assert sorted(comp.vars for comp in comps if len(comp.vars) == 1) == [(v,) for v in e_vars]
     assert brute_force_count(p1) == brute_force_count(p2) == 2
 
 
@@ -483,6 +492,43 @@ def test_hybrid_shares_one_deadline(monkeypatch):
     n, stats = eng.hybrid(threshold=2)
     assert (n, stats.path) == (16, "counting")
     assert stats.cache_lookups > 0 and len(set(seen)) == 1
+
+
+def _cut(self):
+    raise ResourceLimitError("time budget exhausted", self._finalize())
+
+
+def test_hybrid_cut_in_enumeration_names_it(monkeypatch):
+    monkeypatch.setattr(Engine, "_check_deadline", _cut)
+    with pytest.raises(ResourceLimitError) as info:
+        Engine(_pair(path_text(8))).hybrid(threshold=1)
+    assert info.value.stats.path == "enumeration"
+
+
+def test_hybrid_cut_in_counting_keeps_enumeration_counters(monkeypatch):
+    # the check cuts counting at its first cache miss, before its first
+    # decision; path(8) has no unit, so counting has propagated nothing yet
+    begun = []
+    real_count = Engine._count
+
+    def count_spy(self, assumptions=()):
+        begun.append(dataclasses.replace(self.stats))
+        return real_count(self, assumptions)
+
+    def check(self):
+        if self.stats.cache_lookups:
+            _cut(self)
+
+    monkeypatch.setattr(Engine, "_count", count_spy)
+    monkeypatch.setattr(Engine, "_check_deadline", check)
+    with pytest.raises(ResourceLimitError) as info:
+        Engine(_pair(path_text(8))).hybrid(threshold=1)
+    (enum,) = begun
+    stats = info.value.stats
+    assert stats.path == "counting"
+    assert enum.decisions > 0 and stats.decisions == enum.decisions
+    assert enum.propagations > 0 and stats.propagations == enum.propagations
+    assert enum.bcp_time > 0 and stats.bcp_time >= enum.bcp_time
 
 
 def test_cache_entry_cap():

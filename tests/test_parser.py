@@ -23,7 +23,8 @@ def test_example1_shape():
 def test_fact():
     p = parse_program("a.")
     assert len(p.rules) == 1
-    assert p.rules[0].is_fact
+    r = p.rules[0]
+    assert not r.pos_body and not r.neg_body
 
 
 def test_constraint_only():
