@@ -5,9 +5,9 @@ copy-implication clauses over fresh copies of its loop atoms, with one
 variable per class of equivalent atom literals and no rule whose positive
 body cannot be derived; a total assignment over those variables is an
 answer set exactly when it satisfies the completion and unit propagation
-discharges every copy clause. The engine
-counts such assignments with component decomposition and caching, and a
-brute-force reduct oracle provides the ground truth for testing.
+discharges every copy clause, that is, assigns every copy variable. The
+engine counts such assignments with component decomposition and caching,
+and a brute-force reduct oracle provides the ground truth for testing.
 """
 
 from .analysis import DepGraph, LoopInfo, build_dep_graph, compute_loop_atoms
@@ -20,7 +20,7 @@ from .benchgen import (
     random_graph,
 )
 from .encode import Cnf, PairFormula, build_pair, emit_dimacs
-from .engine import Engine, ExactCount, Exceeded, RunStats
+from .engine import Engine, RunStats
 from .errors import ResourceLimitError
 from .oracle import brute_force_count, gl_reduct, is_answer_set, least_model, residual
 from .parser import ParseDiagnostic, ParseError, parse_program, render_program
@@ -34,8 +34,6 @@ __all__ = [
     "Constraint",
     "DepGraph",
     "Engine",
-    "ExactCount",
-    "Exceeded",
     "Graph",
     "LoopInfo",
     "PairFormula",

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import benchgen
 from .analysis import build_dep_graph, compute_loop_atoms, derivable_atoms
 from .encode import build_pair, emit_dimacs
-from .engine import DEFAULT_ENUM_THRESHOLD, Engine, ExactCount, RunStats
+from .engine import DEFAULT_ENUM_THRESHOLD, Engine, RunStats
 from .errors import ResourceLimitError
 from .oracle import DEFAULT_ATOM_CAP, brute_force_count
 from .parser import ParseError, parse_program, render_program
@@ -154,13 +154,12 @@ def _load(path: str):
 
 
 def _solve(args, engine: Engine):
-    """(answer count or "exceeded", stats) of the engine call for args.cmd."""
+    """(count, or None past enumerate's limit, stats) for args.cmd."""
     if args.cmd == "count":
         return engine.count()
     if args.cmd == "hybrid":
         return engine.hybrid(args.threshold)
-    result = engine.enumerate_up_to(args.limit)
-    return (result.count if isinstance(result, ExactCount) else "exceeded"), engine.stats
+    return engine.enumerate_up_to(args.limit)
 
 
 def _cmd_solve(args) -> int:
@@ -174,6 +173,7 @@ def _cmd_solve(args) -> int:
         _report(args, "exceeded", e.stats or RunStats(), time.perf_counter() - t0, program, pair)
         print(str(e), file=sys.stderr)
         return 2
+    n = "exceeded" if n is None else n
     print(n)
     _report(args, n, stats, time.perf_counter() - t0, program, pair)
     return 0

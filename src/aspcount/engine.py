@@ -6,9 +6,10 @@ variable-disjoint components, count each component through an exact-key
 LRU cache, multiply, and sum the branches. The search is one loop over an
 explicit stack of frames, one per component being branched on, so its depth
 never meets Python's recursion limit. Enumeration is the same loop over one
-component, every non-copy variable and the copy clauses, with no cache and
-no decomposition, branching on the lowest unassigned variable and stopping
-once more than `limit` leaves are answers.
+component, every non-copy variable, with no cache and no decomposition; one
+scan for the lowest unassigned variable both picks the branch variable and
+values the leaf (see below), and the search stops once more than `limit`
+leaves are answers.
 
 A component is (vars, listed clause ids): its sorted unassigned variables
 and the ascending ids of its unsatisfied listed clauses. Listed clauses are
@@ -40,9 +41,25 @@ When counting, a component holds a clause exactly when it has two or more
 variables or a listed clause. With no clause it is worth a factor of 2 per
 free non-copy variable and 1 per free copy. With clauses but no non-copy
 variable left to branch on it is worth 0, because every clause of a fresh
-component is unsatisfied (a loop with no external justification). An
-enumeration leaf is worth 1 if none of the copy clauses is unsatisfied and
-0 otherwise.
+component is unsatisfied (a loop with no external justification).
+
+Enumeration reads its leaves off the copy variables. At a conflict-free
+fixpoint reached with no assumptions, a copy a' is false exactly when its
+atom's literal L[a] is false:
+  (i)  if a' is false, so is L[a]. Otherwise take the first copy a' on
+       the trail made false while L[a] is not. A rule clause -a' | ... | z'
+       propagated it, with z' false before it, so L[z] is false, and every
+       other literal of that rule's body true; the completion then
+       propagates L[a] false.
+  (ii) if L[a] is false, -a' | L[a] propagates a' false.
+So at a leaf, every non-copy variable assigned, an unassigned copy x' has
+L[x] true, hence some body of x true, and that rule's copy clause has no
+true literal: the leaf is no answer. A leaf with every variable assigned
+satisfies every clause: it is an answer. The first unassigned variable
+from the frame's branch variable on is thus a non-copy to branch on, a
+copy (the leaf is worth 0) or none (the leaf is an answer). Count mode
+takes copy-literal assumptions, under which (i) need not hold, and keeps
+its own base cases.
 
 Branching reuses the walk: `decompose` also counts, per variable, its
 literals in its component's clauses, and `decide` takes the non-copy
@@ -92,16 +109,6 @@ class RunStats:
         return 100.0 * self.cache_hits / self.cache_lookups
 
 
-@dataclass(frozen=True)
-class ExactCount:
-    count: int
-
-
-@dataclass(frozen=True)
-class Exceeded:
-    elapsed: float
-
-
 class Component(NamedTuple):
     vars: tuple[int, ...]  # sorted, all unassigned at creation
     clause_idxs: tuple[int, ...]  # its unsatisfied listed clauses, ascending
@@ -128,11 +135,6 @@ class Engine:
         self.n_vars = n = pair.n_vars
         self.first_copy = pair.vars.first_copy
         self.canon = pair.completion.clauses + pair.copy_clauses.clauses
-        # enumeration's one component: every non-copy variable and every
-        # copy clause, binary ones included (enumeration never decomposes)
-        self._enum_root = Component(
-            range(self.first_copy), range(len(pair.completion), len(self.canon))
-        )
         self._has_empty_clause = any(not c for c in self.canon)
         self._unit_lits = [c[0] for c in self.canon if len(c) == 1]
         # A literal l has the slot l + n_vars, in `lit_value` and here.
@@ -297,7 +299,10 @@ class Engine:
         self.qhead = mark
 
     def _apply_initial(self, assumptions=()) -> bool:
-        """Level-0 units and assumptions; False on immediate conflict."""
+        """Level-0 units and assumptions; False on immediate conflict. The
+        time budget is checked first, so a zero budget is exhausted even
+        when propagation leaves nothing to search."""
+        self._check_deadline()
         if self._has_empty_clause:
             return False
         for lit in self._unit_lits:
@@ -515,7 +520,7 @@ class Engine:
             self._deadline = time.perf_counter() + self.budget
 
     def _check_deadline(self):
-        if self._deadline is not None and time.perf_counter() > self._deadline:
+        if self._deadline is not None and time.perf_counter() >= self._deadline:
             raise ResourceLimitError("time budget exhausted", self._finalize())
 
     def _store(self, key: bytes, val: int):
@@ -535,21 +540,6 @@ class Engine:
         if self._cache_bytes > self.stats.peak_cache_bytes:
             self.stats.peak_cache_bytes = self._cache_bytes
 
-    def _leaf_value(self, clause_idxs) -> int:
-        """1 if none of the clauses is unsatisfied, else 0 (a loop with no
-        external justification); enumeration asks it of the copy clauses
-        once no non-copy variable is left."""
-        value = self.lit_value
-        n = self.n_vars
-        canon = self.canon
-        for ci in clause_idxs:
-            for l in canon[ci]:
-                if value[n + l] == 1:
-                    break
-            else:
-                return 0
-        return 1
-
     def _search(self, roots, limit: int | None = None) -> int | None:
         """Product of the values of the components `roots`, by a depth-first
         search over one explicit stack of frames, one frame per component
@@ -559,8 +549,9 @@ class Engine:
         before anything else, splits each branch with `decompose` and caches
         the sum of the two branches. Enumeration (`limit` set) is given one
         root and no cache; the open branch's only component is the frame's
-        own, it branches on the lowest unassigned variable, and the search
-        returns None as soon as more than `limit` leaves are answers."""
+        own, it branches on the lowest unassigned variable, values a leaf by
+        its copies (see the module docstring), and the search returns None
+        as soon as more than `limit` leaves are answers."""
         counting = limit is None
         caching = counting and self.use_cache
         value = self.lit_value
@@ -576,7 +567,6 @@ class Engine:
         propagate = self.propagate
         backtrack = self.backtrack
         check_deadline = self._check_deadline
-        leaf_value = self._leaf_value
         store = self._store
         found = 0
         stack = []  # the frames below the top one
@@ -615,21 +605,21 @@ class Engine:
                         v = None
                         val = 1 << n_free
                 else:
-                    # the lowest unassigned variable: the one component holds
-                    # every non-copy variable v, whose literal v + 1 has the
-                    # slot pos + v, and every variable up to the frame's own
-                    # branch variable, trail[mark], was assigned when the
-                    # frame was opened
+                    # the lowest unassigned variable: variable v's literal
+                    # v + 1 has the slot pos + v, the copies come last, and
+                    # every variable up to the frame's own branch variable,
+                    # trail[mark], was assigned when the frame was opened
                     start = abs(trail[mark]) if comp is not None else 0
                     try:
-                        v = value.index(-1, pos + start, pos + first_copy) - pos
-                    except ValueError:
-                        v = None
-                        val = leaf_value(sub.clause_idxs)
-                        if val:
-                            found += 1
-                            if found > limit:
-                                return None
+                        v = value.index(-1, pos + start) - pos
+                    except ValueError:  # every variable assigned: an answer
+                        found += 1
+                        if found > limit:
+                            return None
+                        continue
+                    if v >= first_copy:  # a copy left unassigned: no answer
+                        prod = 0
+                        continue
                 if v is None:
                     if caching:
                         store(sub_key, val)
@@ -667,35 +657,35 @@ class Engine:
                 # conflict-free fixpoint, none ever holds a falsified clause
                 subs, i, prod = (), 0, 0
 
-    def enumerate_up_to(self, limit: int):
-        """Depth-first enumeration over non-copy variables, no caching and
-        no component product. Exceeded(elapsed) once `limit` is passed. The
-        time budget runs from this call."""
+    def enumerate_up_to(self, limit: int) -> tuple[int | None, RunStats]:
+        """(answer-set count, stats) by depth-first enumeration over the
+        non-copy variables, no caching and no component product; the count
+        is None once more than `limit` answer sets are found. The time budget
+        runs from this call."""
         self._arm_deadline()
         self.stats = RunStats()
         return self._enumerate(limit)
 
-    def _enumerate(self, limit: int):
+    def _enumerate(self, limit: int) -> tuple[int | None, RunStats]:
         if limit < 1:
             raise ValueError("limit must be >= 1")
         self.reset()
-        t0 = time.perf_counter()
         if not self._apply_initial():
-            return ExactCount(0)
-        found = self._search([self._enum_root], limit)
-        if found is None:
-            return Exceeded(time.perf_counter() - t0)
-        return ExactCount(found)
+            return 0, self._finalize()
+        # one component: every non-copy variable (enumeration never decomposes)
+        root = Component(range(self.first_copy), ())
+        return self._search([root], limit), self._finalize()
 
     def hybrid(self, threshold: int = DEFAULT_ENUM_THRESHOLD) -> tuple[int, RunStats]:
-        """Enumerate up to `threshold` answer sets; fall back to counting.
-        One time budget, run from this call, covers both phases, and one
-        RunStats: counting adds to the enumeration's counters, and `path`
-        names the phase running, also in a ResourceLimitError's stats."""
+        """Enumerate up to `threshold` answer sets; fall back to counting
+        when `enumerate_up_to` would return None. One time budget, run from
+        this call, covers both phases, and one RunStats: counting adds to
+        the enumeration's counters, and `path` names the phase running, also
+        in a ResourceLimitError's stats."""
         self._arm_deadline()
         self.stats = RunStats(path="enumeration")
-        result = self._enumerate(threshold)
-        if isinstance(result, ExactCount):
-            return result.count, self._finalize()
+        found, stats = self._enumerate(threshold)
+        if found is not None:
+            return found, stats
         self.stats.path = "counting"
         return self._count()

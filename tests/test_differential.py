@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from aspcount import (
     Engine,
-    ExactCount,
     brute_force_count,
     build_pair,
     gen_hamiltonian,
@@ -101,11 +100,8 @@ def test_count_agrees_with_cache_off_and_enumeration(program):
     assert pair.copy_vars  # non-tight
     n = Engine(pair).count()[0]
     assert Engine(pair, use_cache=False).count()[0] == n
-    result = Engine(pair).enumerate_up_to(ENUM_LIMIT)
-    if isinstance(result, ExactCount):
-        assert result.count == n
-    else:
-        assert n > ENUM_LIMIT
+    found = Engine(pair).enumerate_up_to(ENUM_LIMIT)[0]
+    assert found == (n if n <= ENUM_LIMIT else None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,7 +153,9 @@ def test_cache_key_determines_residual(program):
 def merge_programs(draw):
     """A program of 2-9 atoms made mostly of the shapes the encoder
     simplifies: one-literal rules, the head itself allowed (merged into one
-    variable per class unless they are self-loops), negation pairs, positive
+    variable per class unless they are self-loops), negation pairs, a
+    negation pair x, y beside a rule whose body holds both (the map makes it
+    contradictory, as `x, y`, or one literal, as `x, not y`), positive
     cycles with or without outside support, the contradictory cycles
     `a :- not a.` and `a :- not b. b :- a.`, plus facts, conjunctions of two
     atoms, rules of up to four literals and constraints. Atoms that head no rule, or only rules over
@@ -170,13 +168,21 @@ def merge_programs(draw):
         rules.append(Rule(head, frozenset(pos), frozenset(neg)))
 
     for _ in range(draw(st.integers(1, n + 3))):
-        kind = draw(st.sampled_from("oooooppccaalllxf"))
+        kind = draw(st.sampled_from("oooooppnnccaalllxf"))
         a, b = draw(atom), draw(atom)
         if kind == "o":
             rule(a, *([[b], []] if draw(st.booleans()) else [[], [b]]))
         elif kind == "p":
             rule(a, neg=[b])
             rule(b, neg=[a])
+        elif kind == "n":
+            x, y = xy = draw(st.lists(atom, min_size=2, max_size=2, unique=True))
+            rule(x, neg=[y])
+            rule(y, neg=[x])
+            pos, neg = [], []
+            for z in xy:
+                (pos if draw(st.booleans()) else neg).append(z)
+            rule(draw(atom), pos, neg)
         elif kind == "c":
             cycle = draw(st.lists(atom, min_size=1, max_size=3, unique=True))
             for i, x in enumerate(cycle):
@@ -213,11 +219,50 @@ def test_preprocessing_keeps_every_answer_set(program):
         assert len(body) >= 2 and not any(-l in body for l in body)
     assert Engine(pair).count()[0] == expected
     assert Engine(pair, use_cache=False).count()[0] == expected
-    assert Engine(pair).enumerate_up_to(1 << program.n_atoms) == ExactCount(expected)
+    assert Engine(pair).enumerate_up_to(1 << program.n_atoms)[0] == expected
     derivable = derivable_atoms(program)
     for bits in range(1 << program.n_atoms):
         m = frozenset(a for a in range(program.n_atoms) if bits >> a & 1)
         assert m <= derivable or not is_answer_set(program, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(block_programs(), merge_programs()), st.integers(0, 2**32))
+def test_leaf_is_an_answer_iff_every_copy_is_assigned(program, seed):
+    """The lemma enumeration values its leaves by (engine module docstring),
+    on random descents that give every non-copy variable a value: at each
+    conflict-free fixpoint a copy is false exactly when its atom's literal
+    is, and at the leaf every copy clause has a true literal exactly when no
+    copy is unassigned."""
+    pair = build_pair(program)
+    eng = Engine(pair)
+    n = eng.n_vars
+    copy_clauses = eng.canon[len(pair.completion) :]
+    rng = random.Random(seed)
+    for _ in range(8):
+        eng.reset()
+        if not eng._apply_initial():
+            return
+        value = eng.lit_value
+        for v in range(eng.first_copy):
+            if value[n + v + 1] != -1:
+                continue
+            mark = len(eng.trail)
+            lit = rng.choice((v + 1, -(v + 1)))
+            for l in (lit, -lit):
+                eng.assign(l)
+                if eng.propagate() is None:
+                    break
+                eng.backtrack(mark)
+            else:
+                break  # both values conflict: no leaf below
+            for a, c in pair.vars.copy_of_atom.items():
+                atom_false = value[n + pair.vars.lit_of_atom[a]] == 0
+                assert (value[n + c + 1] == 0) == atom_false
+        else:
+            # the reference: the copy clauses, read literal by literal
+            clauses_hold = all(any(value[n + l] == 1 for l in c) for c in copy_clauses)
+            assert clauses_hold == all(value[n + c + 1] != -1 for c in pair.copy_vars)
 
 
 @pytest.mark.parametrize("n", [1, 30, 500])

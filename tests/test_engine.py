@@ -7,8 +7,6 @@ import pytest
 
 from aspcount import (
     Engine,
-    ExactCount,
-    Exceeded,
     ResourceLimitError,
     brute_force_count,
     build_pair,
@@ -170,7 +168,7 @@ def test_path_is_dissected_at_every_level(monkeypatch):
 def test_tie_ranks_are_built_by_counting_only():
     eng = Engine(_pair(path_text(10)))
     assert eng._tie is None
-    assert eng.enumerate_up_to(1000) == ExactCount(144)
+    assert eng.enumerate_up_to(1000)[0] == 144
     assert eng._tie is None
     assert eng.count()[0] == 144
     assert eng._tie is not None
@@ -386,17 +384,17 @@ def test_conjunction_soundness():
 
 
 def test_enumerate_example1():
-    assert Engine(_pair(EXAMPLE1)).enumerate_up_to(10) == ExactCount(2)
+    assert Engine(_pair(EXAMPLE1)).enumerate_up_to(10)[0] == 2
 
 
 def test_enumerate_chain20_exceeds():
-    result = Engine(build_pair(gen_choice_chain(20))).enumerate_up_to(100_000)
-    assert isinstance(result, Exceeded)
-    assert result.elapsed > 0
+    n, stats = Engine(build_pair(gen_choice_chain(20))).enumerate_up_to(100_000)
+    assert n is None
+    assert stats.decisions > 100_000
 
 
 def test_enumerate_unsatisfiable():
-    assert Engine(_pair("a :- not a.")).enumerate_up_to(5) == ExactCount(0)
+    assert Engine(_pair("a :- not a.")).enumerate_up_to(5)[0] == 0
 
 
 def test_enumerate_matches_count():
@@ -404,13 +402,13 @@ def test_enumerate_matches_count():
     for _ in range(60):
         p = random_program(rng, max_atoms=5)
         pair = build_pair(p)
-        assert Engine(pair).enumerate_up_to(1 << 16) == ExactCount(Engine(pair).count()[0])
+        assert Engine(pair).enumerate_up_to(1 << 16)[0] == Engine(pair).count()[0]
 
 
 def test_enumerate_limit_is_inclusive():
     pair = build_pair(gen_choice_chain(3))  # 8 answer sets
-    assert Engine(pair).enumerate_up_to(8) == ExactCount(8)
-    assert isinstance(Engine(pair).enumerate_up_to(7), Exceeded)
+    assert Engine(pair).enumerate_up_to(8)[0] == 8
+    assert Engine(pair).enumerate_up_to(7)[0] is None
     n, stats = Engine(pair).hybrid(threshold=8)
     assert (n, stats.path) == (8, "enumeration")
     n, stats = Engine(pair).hybrid(threshold=7)
@@ -448,7 +446,7 @@ def test_search_depth_leaves_recursion_limit_alone():
     try:
         eng = Engine(build_pair(gen_choice_chain(1000)))
         assert sys.getrecursionlimit() == 1000
-        assert isinstance(eng.enumerate_up_to(1), Exceeded)
+        assert eng.enumerate_up_to(1)[0] is None
         assert sys.getrecursionlimit() == 1000
         assert eng.count()[0] == 1 << 1000
         assert sys.getrecursionlimit() == 1000
@@ -468,13 +466,24 @@ def test_budget_exhaustion():
     assert err.value.stats is not None
 
 
+@pytest.mark.parametrize("text", ["a.", ":- a. a :- not b. b :- not a.", "a :- not a."])
+def test_zero_budget_exhausts_with_nothing_to_search(text):
+    # propagation settles each at the root (the last in a conflict), so the
+    # search meets no component to check the budget at
+    eng = Engine(_pair(text), budget=0.0)
+    for call in (eng.count, lambda: eng.enumerate_up_to(1), eng.hybrid):
+        with pytest.raises(ResourceLimitError) as err:
+            call()
+        assert err.value.stats is eng.stats
+
+
 def test_budget_runs_from_each_call():
     eng = Engine(build_pair(gen_choice_chain(4)), budget=0.1)
     assert eng.count()[0] == 16
     time.sleep(0.15)
     assert eng.count()[0] == 16
     time.sleep(0.15)
-    assert eng.enumerate_up_to(100) == ExactCount(16)
+    assert eng.enumerate_up_to(100)[0] == 16
     time.sleep(0.15)
     assert eng.hybrid(threshold=2)[0] == 16
 
