@@ -27,6 +27,11 @@ class DepGraph:
 
 @dataclass(frozen=True)
 class LoopInfo:
+    """`scc_of[v]` is the index of atom v's SCC of the dependency graph.
+    Indices are dense from 0 and in a topological order of the SCCs: an edge
+    u -> v between two SCCs, from a rule's head to a positive body atom, has
+    scc_of[u] < scc_of[v]. `loop_atoms` are the atoms on a directed cycle."""
+
     scc_of: tuple[int, ...]
     loop_atoms: frozenset[AtomId]
 
@@ -66,59 +71,48 @@ def build_dep_graph(program: Program) -> DepGraph:
 
 
 def compute_loop_atoms(graph: DepGraph) -> LoopInfo:
-    """Atoms on some directed cycle: SCC of size >= 2, or a self-edge."""
-    scc_of = _tarjan(graph.n_nodes, graph.successors())
-    size: dict[int, int] = {}
-    for c in scc_of:
-        size[c] = size.get(c, 0) + 1
-    loop = {v for v in range(graph.n_nodes) if size[scc_of[v]] >= 2}
-    loop |= {v for v, w in graph.edges if v == w}
-    return LoopInfo(tuple(scc_of), frozenset(loop))
+    """Atoms on some directed cycle: SCC of size >= 2, or a self-edge.
 
-
-def _tarjan(n: int, succ: list[list[int]]) -> list[int]:
-    """Iterative Tarjan; returns scc index per node (linear in nodes + edges)."""
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    scc_of = [-1] * n
-    stack: list[int] = []
-    counter = 0
-    n_sccs = 0
+    SCCs by Kosaraju's two traversals, both iterative and linear in nodes
+    plus edges: a DFS that lists the nodes by finishing time, then searches
+    over the reversed edges, latest-finished node first, each of which
+    labels one SCC with the next index."""
+    n = graph.n_nodes
+    succ = graph.successors()
+    finished: list[AtomId] = []
+    seen = [False] * n
     for root in range(n):
-        if index[root] != -1:
+        if seen[root]:
             continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ei < len(succ[v]):
-                w = succ[v][ei]
-                ei += 1
-                if index[w] == -1:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
+        seen[root] = True
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, rest = stack[-1]
+            for w in rest:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    scc_of[w] = n_sccs
-                    if w == v:
-                        break
-                n_sccs += 1
-            if work:
-                u = work[-1][0]
-                lowlink[u] = min(lowlink[u], lowlink[v])
-    return scc_of
+            else:
+                stack.pop()
+                finished.append(v)
+    pred: list[list[AtomId]] = [[] for _ in range(n)]
+    for u, v in graph.edges:
+        pred[v].append(u)
+    scc_of = [-1] * n
+    n_sccs = 0
+    loop = {v for v, w in graph.edges if v == w}
+    for root in reversed(finished):
+        if scc_of[root] != -1:
+            continue
+        scc_of[root] = n_sccs
+        members = [root]
+        for v in members:  # grows while the search reaches new nodes
+            for u in pred[v]:
+                if scc_of[u] == -1:
+                    scc_of[u] = n_sccs
+                    members.append(u)
+        if len(members) > 1:
+            loop.update(members)
+        n_sccs += 1
+    return LoopInfo(tuple(scc_of), frozenset(loop))

@@ -5,7 +5,8 @@ branch to fixpoint, split the parent component's unsatisfied clauses into
 variable-disjoint components, count each component through an exact-key
 LRU cache, multiply, and sum the branches. The search is one loop over an
 explicit stack of frames, one per component being branched on, so its depth
-never meets Python's recursion limit. Enumeration is the same loop over one
+never meets Python's recursion limit; a frame's branch literal is the trail
+literal at its mark, so it stores none. Enumeration is the same loop over one
 component, every non-copy variable, with no cache and no decomposition; one
 scan for the lowest unassigned variable both picks the branch variable and
 values the leaf (see below), and the search stops once more than `limit`
@@ -28,11 +29,13 @@ The assignment is one array indexed by literal, as in MiniSat (Een &
 Sorensson, SAT 2003): `lit_value[lit + n_vars]` is 1 (true), 0 (false) or
 -1 (unassigned), and assigning or unassigning a literal writes the slots of
 both polarities, so no literal test needs its variable or its sign.
-Propagation works on the same slots. Binary clauses, most of each encoding,
-are per-literal implication lists, also as in sharpSAT;
-clauses of three or more literals keep two watched literals over mutable
-slot copies. For each literal made false, `propagate` walks its
-implications first, then its watches.
+Propagation works on the same slots and needs no clause ids. Binary
+clauses, most of each encoding, are per-slot lists of implied slots, also as
+in sharpSAT; a clause of three or more literals is one mutable list of slots,
+its two watches in front, held by the watch lists of both. For each literal
+made false, `propagate` walks its implied slots first, then its watch list,
+and it reports a conflict as the literal it found false where a clause
+needed it true.
 
 Copy variables, the block from `first_copy` up (see `encode.VarTable`),
 are propagated but never decided and never enumerated. A component's
@@ -138,28 +141,24 @@ class Engine:
         self._has_empty_clause = any(not c for c in self.canon)
         self._unit_lits = [c[0] for c in self.canon if len(c) == 1]
         # A literal l has the slot l + n_vars, in `lit_value` and here.
-        # Indexed by the slot of a literal made false: the (implied slot,
-        # clause id) of each binary clause holding it, and the ids of the
-        # long clauses (three or more literals) that watch it. clauses[ci]
-        # is long clause ci as slots, watches in front (propagate swaps
-        # them), or None for a shorter clause.
-        implied: list[list[tuple[int, int]]] = [[] for _ in range(2 * n + 1)]
-        watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
-        clauses: list[list[int] | None] = []
-        for ci, c in enumerate(self.canon):
-            long = None
+        # Indexed by the slot of a literal made false: the slot of the other
+        # literal of each binary clause holding it, and the long clauses
+        # (three or more literals) that watch it. A long clause is one
+        # mutable list of slots, watches in front (propagate swaps them),
+        # held by the watch lists of both its watches.
+        implied: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
+        for c in self.canon:
             if len(c) == 2:
                 a, b = c
-                implied[a + n].append((b + n, ci))
-                implied[b + n].append((a + n, ci))
+                implied[a + n].append(b + n)
+                implied[b + n].append(a + n)
             elif len(c) > 2:
-                long = [l + n for l in c]
-                watches[long[0]].append(ci)
-                watches[long[1]].append(ci)
-            clauses.append(long)
+                clause = [l + n for l in c]
+                watches[clause[0]].append(clause)
+                watches[clause[1]].append(clause)
         self.implied = implied
         self.watches = watches
-        self.clauses = clauses
 
         self.use_cache = use_cache
         self.cache_limit_bytes = cache_limit_bytes
@@ -214,27 +213,29 @@ class Engine:
         return True
 
     def propagate(self) -> int | None:
-        """Unit propagation to fixpoint; returns a falsified clause id or None.
+        """Unit propagation to fixpoint; returns None, or on a conflict the
+        literal found false where a clause needed it true.
 
         For each trail literal from `qhead` on, the slot of its negation is
-        visited: its binary implications first, then the clauses of three or
-        more literals watching it, whose other watch is moved to a literal
-        not yet false where one exists."""
+        visited: its implied slots first, then the clauses of three or more
+        literals watching it, whose other watch is moved to a literal not yet
+        false where one exists. The conflict literal is the implied literal
+        of a binary clause or the other watch of a long one, whose clause
+        then has every literal false."""
         t0 = time.perf_counter()
         value = self.lit_value
         implied = self.implied
         watches = self.watches
-        clauses = self.clauses
         trail = self.trail
         n = self.n_vars
         n2 = 2 * n  # slot of -lit is n2 minus the slot of lit
         qhead = self.qhead
         found = 0
-        conflict = None
+        conflict = 0  # none yet: 0 is no literal
         while qhead < len(trail):
             f = n - trail[qhead]  # the slot just made false
             qhead += 1
-            for s, ci in implied[f]:
+            for s in implied[f]:
                 x = value[s]
                 if x == -1:
                     value[s] = 1
@@ -242,16 +243,15 @@ class Engine:
                     trail.append(s - n)
                     found += 1
                 elif not x:
-                    conflict = ci
+                    conflict = s - n
                     break
-            if conflict is not None:
+            if conflict:
                 break
             wl = watches[f]
             i = 0
             end = len(wl)
             while i < end:
-                ci = wl[i]
-                clause = clauses[ci]
+                clause = wl[i]
                 if clause[0] == f:
                     clause[0] = clause[1]
                     clause[1] = f
@@ -268,7 +268,7 @@ class Engine:
                         end -= 1
                         wl[i] = wl[end]
                         wl.pop()
-                        watches[s].append(ci)
+                        watches[s].append(clause)
                         break
                 else:
                     if x:  # unassigned: the clause is unit
@@ -278,14 +278,14 @@ class Engine:
                         found += 1
                         i += 1
                     else:
-                        conflict = ci
+                        conflict = other - n
                         break
-            if conflict is not None:
+            if conflict:
                 break
         self.qhead = qhead
         self.stats.propagations += found
         self.stats.bcp_time += time.perf_counter() - t0
-        return conflict
+        return conflict or None
 
     def backtrack(self, mark: int):
         """Unassigns every trail literal from `mark` on, both slots of each."""
@@ -500,24 +500,33 @@ class Engine:
             # a literal outside +-1..n_vars would index some other slot
             if not 0 < abs(lit) <= self.n_vars:
                 raise ValueError(f"assumption {lit} is not a literal of this formula")
-        self._arm_deadline()
-        self.stats = RunStats()
-        return self._count(assumptions)
+        self._begin()
+        return self._run(assumptions=assumptions)
 
-    def _count(self, assumptions=()) -> tuple[int, RunStats]:
+    def _begin(self, path: str = ""):
+        """Arms the time budget and starts the RunStats of one public call."""
+        if self.budget is not None:
+            self._deadline = time.perf_counter() + self.budget
+        self.stats = RunStats(path=path)
+
+    def _run(self, limit: int | None = None, assumptions=()) -> tuple[int | None, RunStats]:
+        """One search from a fresh state: counting when `limit` is None,
+        else enumeration up to `limit` answer sets (see `_search`)."""
+        if limit is not None and limit < 1:
+            raise ValueError("limit must be >= 1")
         self.reset()
         if not self._apply_initial(assumptions):
             return 0, self._finalize()
-        roots = self.decompose(range(self.n_vars))
-        return self._search(roots), self._finalize()
+        if limit is None:
+            roots = self.decompose(range(self.n_vars))
+        else:
+            # one component: every non-copy variable (enumeration never decomposes)
+            roots = [Component(range(self.first_copy), ())]
+        return self._search(roots, limit), self._finalize()
 
     def _finalize(self) -> RunStats:
         self.stats.cache_entries = len(self._cache)
         return self.stats
-
-    def _arm_deadline(self):
-        if self.budget is not None:
-            self._deadline = time.perf_counter() + self.budget
 
     def _check_deadline(self):
         if self._deadline is not None and time.perf_counter() >= self._deadline:
@@ -551,7 +560,14 @@ class Engine:
         root and no cache; the open branch's only component is the frame's
         own, it branches on the lowest unassigned variable, values a leaf by
         its copies (see the module docstring), and the search returns None
-        as soon as more than `limit` leaves are answers."""
+        as soon as more than `limit` leaves are answers.
+
+        A frame holds its component (None for the root frame) and cache
+        key, trail mark, sum over its finished branches, and its open
+        branch's components, next index and running product. Its branch
+        literal is `trail[mark]`: the first branch is the branch variable's
+        positive literal and the second its negation, so the frame is done
+        when a branch with a negative literal there ends."""
         counting = limit is None
         caching = counting and self.use_cache
         value = self.lit_value
@@ -570,12 +586,8 @@ class Engine:
         store = self._store
         found = 0
         stack = []  # the frames below the top one
-        # the top frame: its component (None for the root frame) and cache
-        # key, second branch literal (0 once taken), trail mark, sum over its
-        # finished branches, and its open branch's components, next index
-        # and running product
         comp = key = sub_key = None
-        pending = total = 0
+        total = 0
         mark = len(trail)
         subs, i, prod = roots, 0, 1
         while True:
@@ -625,25 +637,23 @@ class Engine:
                         store(sub_key, val)
                     prod *= val
                     continue
-                stack.append((comp, key, pending, mark, total, subs, i, prod))
+                stack.append((comp, key, mark, total, subs, i, prod))
                 comp, key, total = sub, sub_key, 0
                 mark = len(trail)
                 lit = v + 1
-                pending = -lit
             elif comp is None:
                 return prod
             else:
                 total += prod
+                lit = -trail[mark]  # the second branch, or done if positive
                 backtrack(mark)
-                if not pending:
+                if lit > 0:
                     if caching:
                         store(key, total)
                     val = total
-                    comp, key, pending, mark, total, subs, i, prod = stack.pop()
+                    comp, key, mark, total, subs, i, prod = stack.pop()
                     prod *= val
                     continue
-                lit = pending
-                pending = 0
             # set the branch literal, propagate, then open the branch
             value[n + lit] = 1
             value[n - lit] = 0
@@ -662,19 +672,8 @@ class Engine:
         non-copy variables, no caching and no component product; the count
         is None once more than `limit` answer sets are found. The time budget
         runs from this call."""
-        self._arm_deadline()
-        self.stats = RunStats()
-        return self._enumerate(limit)
-
-    def _enumerate(self, limit: int) -> tuple[int | None, RunStats]:
-        if limit < 1:
-            raise ValueError("limit must be >= 1")
-        self.reset()
-        if not self._apply_initial():
-            return 0, self._finalize()
-        # one component: every non-copy variable (enumeration never decomposes)
-        root = Component(range(self.first_copy), ())
-        return self._search([root], limit), self._finalize()
+        self._begin()
+        return self._run(limit)
 
     def hybrid(self, threshold: int = DEFAULT_ENUM_THRESHOLD) -> tuple[int, RunStats]:
         """Enumerate up to `threshold` answer sets; fall back to counting
@@ -682,10 +681,9 @@ class Engine:
         this call, covers both phases, and one RunStats: counting adds to
         the enumeration's counters, and `path` names the phase running, also
         in a ResourceLimitError's stats."""
-        self._arm_deadline()
-        self.stats = RunStats(path="enumeration")
-        found, stats = self._enumerate(threshold)
+        self._begin("enumeration")
+        found, stats = self._run(threshold)
         if found is not None:
             return found, stats
         self.stats.path = "counting"
-        return self._count()
+        return self._run()

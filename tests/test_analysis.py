@@ -1,4 +1,5 @@
 import random
+import sys
 
 from aspcount import (
     Engine,
@@ -51,7 +52,7 @@ def test_empty_program_tight():
     assert not info.loop_atoms  # tight
 
 
-def _on_cycle_brute_force(n, edges):
+def _reach_brute_force(edges):
     # transitive closure by repeated squaring of the adjacency relation
     reach = {(u, v) for u, v in edges}
     changed = True
@@ -62,7 +63,7 @@ def _on_cycle_brute_force(n, edges):
                 if v == x and (u, y) not in reach:
                     reach.add((u, y))
                     changed = True
-    return {v for v in range(n) if (v, v) in reach}
+    return reach
 
 
 def test_loop_atoms_match_cycle_membership():
@@ -74,7 +75,29 @@ def test_loop_atoms_match_cycle_membership():
             (rng.randrange(n), rng.randrange(n)) for _ in range(m)
         )
         info = compute_loop_atoms(DepGraph(n, edges))
-        assert info.loop_atoms == _on_cycle_brute_force(n, edges)
+        reach = _reach_brute_force(edges)
+        assert info.loop_atoms == {v for v in range(n) if (v, v) in reach}
+        scc_of = info.scc_of
+        assert sorted(set(scc_of)) == list(range(len(set(scc_of))))
+        for u in range(n):
+            for v in range(n):
+                mutual = u == v or (u, v) in reach and (v, u) in reach
+                assert (scc_of[u] == scc_of[v]) == mutual
+        assert all(scc_of[u] <= scc_of[v] for u, v in edges)
+
+
+def test_one_long_cycle_is_one_scc():
+    # a positive chain a_0 <- a_1 <- ... closed into one cycle, far deeper
+    # than the default recursion limit
+    n = 200_000
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        info = compute_loop_atoms(DepGraph(n, frozenset((v, (v + 1) % n) for v in range(n))))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert set(info.scc_of) == {0}
+    assert info.loop_atoms == frozenset(range(n))
 
 
 def test_scc_indices_cover_all_atoms():

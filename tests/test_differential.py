@@ -359,7 +359,11 @@ def test_propagate_matches_naive_closure(formula):
             assert true_lits() == closure
             saved.append((mark, before))
         else:
-            assert all(value[n + l] == 0 for l in eng.canon[conflict])
+            # the literal found false where some clause, now all false, needed it
+            assert 0 < abs(conflict) <= n and value[n + conflict] == 0
+            assert any(
+                conflict in c and all(value[n + l] == 0 for l in c) for c in eng.canon
+            )
             eng.backtrack(mark)
             assert value == before and len(eng.trail) == mark
     for mark, before in reversed(saved):

@@ -11,7 +11,10 @@ from aspcount import (
     brute_force_count,
     build_pair,
     gen_choice_chain,
+    gen_hamiltonian,
+    gen_reachability,
     parse_program,
+    random_graph,
     residual,
 )
 from aspcount.encode import Cnf, pos_lit
@@ -456,6 +459,46 @@ def test_search_depth_leaves_recursion_limit_alone():
         sys.setrecursionlimit(saved)
 
 
+# -- counter pins ---------------------------------------------------------------
+
+# (result, decisions, propagations, cache lookups, hits and entries, peak
+# cache bytes, path) per family and call. A change meant to keep the search
+# as it is keeps these; one that moves them on purpose updates them here.
+COUNTER_PINS = [
+    ("path", "count", (267914296, 108, 93, 138, 54, 84, 7128, "")),
+    ("path", "hybrid", (267914296, 200121, 61909, 138, 54, 84, 7128, "counting")),
+    ("path", "enumerate_up_to(7)", (None, 32, 22, 0, 0, 0, 0, "")),
+    ("reach", "count", (320, 188, 578, 174, 53, 121, 20873, "")),
+    ("reach", "hybrid", (320, 1054, 3489, 0, 0, 0, 0, "enumeration")),
+    ("reach", "enumerate_up_to(7)", (None, 21, 106, 0, 0, 0, 0, "")),
+    ("reach", "count, use_cache=False", (320, 274, 857, 0, 0, 0, 0, "")),
+    ("ham", "count", (48, 376, 5611, 319, 89, 230, 78960, "")),
+    ("ham", "hybrid", (48, 366, 4534, 0, 0, 0, 0, "enumeration")),
+    ("ham", "enumerate_up_to(7)", (None, 78, 998, 0, 0, 0, 0, "")),
+]
+
+
+@pytest.mark.parametrize("family, call, want", COUNTER_PINS)
+def test_counters_are_pinned(family, call, want):
+    program = {
+        "path": lambda: parse_program(path_text(40)),
+        "reach": lambda: gen_reachability(random_graph(12, 28, seed=1), 0, 11),
+        "ham": lambda: gen_hamiltonian(random_graph(9, 36, seed=1)),
+    }[family]()
+    pair = build_pair(program)
+    n, stats = {
+        "count": lambda: Engine(pair).count(),
+        "hybrid": lambda: Engine(pair).hybrid(),
+        "enumerate_up_to(7)": lambda: Engine(pair).enumerate_up_to(7),
+        "count, use_cache=False": lambda: Engine(pair, use_cache=False).count(),
+    }[call]()
+    got = (
+        n, stats.decisions, stats.propagations, stats.cache_lookups, stats.cache_hits,
+        stats.cache_entries, stats.peak_cache_bytes, stats.path,
+    )
+    assert got == want
+
+
 # -- resource limits & stats ---------------------------------------------------
 
 
@@ -518,17 +561,18 @@ def test_hybrid_cut_in_counting_keeps_enumeration_counters(monkeypatch):
     # the check cuts counting at its first cache miss, before its first
     # decision; path(8) has no unit, so counting has propagated nothing yet
     begun = []
-    real_count = Engine._count
+    real_run = Engine._run
 
-    def count_spy(self, assumptions=()):
-        begun.append(dataclasses.replace(self.stats))
-        return real_count(self, assumptions)
+    def count_spy(self, limit=None, assumptions=()):
+        if limit is None:
+            begun.append(dataclasses.replace(self.stats))
+        return real_run(self, limit, assumptions)
 
     def check(self):
         if self.stats.cache_lookups:
             _cut(self)
 
-    monkeypatch.setattr(Engine, "_count", count_spy)
+    monkeypatch.setattr(Engine, "_run", count_spy)
     monkeypatch.setattr(Engine, "_check_deadline", check)
     with pytest.raises(ResourceLimitError) as info:
         Engine(_pair(path_text(8))).hybrid(threshold=1)
