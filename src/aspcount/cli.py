@@ -110,7 +110,8 @@ def _write_out(text: str, output: str | None):
         Path(output).write_text(text)
 
 
-def _report(args, answer_count, stats: RunStats, wall, program, pair):
+def _report(args, answer_count, stats: RunStats, wall, setup, program, pair):
+    """setup is (parse seconds, encode seconds), both inside wall."""
     if args.stats != "json":
         return
     n_copy_vars = len(pair.copy_vars)  # one copy per loop atom
@@ -126,6 +127,8 @@ def _report(args, answer_count, stats: RunStats, wall, program, pair):
         "cache_entries": stats.cache_entries,
         "peak_cache_bytes": stats.peak_cache_bytes,
         "wall_seconds": wall,
+        "parse_seconds": setup[0],
+        "encode_seconds": setup[1],
         "tight": n_copy_vars == 0,
         "n_atoms": program.n_atoms,
         "n_rules": len(program.rules),
@@ -163,19 +166,24 @@ def _solve(args, engine: Engine):
 
 
 def _cmd_solve(args) -> int:
-    """count / enumerate / hybrid; wall_seconds runs from before the file is read."""
+    """count / enumerate / hybrid; wall_seconds runs from before the file is
+    read, and parse_seconds (reading and parsing) and encode_seconds
+    (build_pair) are parts of it."""
     t0 = time.perf_counter()
     program = _load(args.file)
+    t1 = time.perf_counter()
     pair = build_pair(program)
+    setup = (t1 - t0, time.perf_counter() - t1)
     try:
         n, stats = _solve(args, _engine(args, pair))
     except ResourceLimitError as e:
-        _report(args, "exceeded", e.stats or RunStats(), time.perf_counter() - t0, program, pair)
+        wall = time.perf_counter() - t0
+        _report(args, "exceeded", e.stats or RunStats(), wall, setup, program, pair)
         print(str(e), file=sys.stderr)
         return 2
     n = "exceeded" if n is None else n
     print(n)
-    _report(args, n, stats, time.perf_counter() - t0, program, pair)
+    _report(args, n, stats, time.perf_counter() - t0, setup, program, pair)
     return 0
 
 

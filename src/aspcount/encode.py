@@ -65,21 +65,16 @@ class VarTable:
 
 
 class Cnf:
-    """Clause list in canonical form: literals sorted by (variable, sign),
-    duplicate literals merged, exact duplicate clauses dropped."""
+    """Clause list in canonical form: each clause a tuple of distinct
+    literals sorted by (variable, sign), and no clause twice. `add` takes a
+    clause already in that form and drops it if it is already listed; the
+    encoders build most clauses in order and sort the others."""
 
     def __init__(self, clauses=()):
         self.clauses: list[tuple[int, ...]] = list(clauses)
         self._seen = set(self.clauses)
 
-    def add(self, lits, keep_tautology=False) -> bool:
-        clause = tuple(sorted(set(lits), key=lambda l: (abs(l), l > 0)))
-        if not keep_tautology:
-            seen_vars = set()
-            for l in clause:
-                if -l in seen_vars:
-                    return False
-                seen_vars.add(l)
+    def add(self, clause: tuple[int, ...]) -> bool:
         if clause in self._seen:
             return False
         self._seen.add(clause)
@@ -91,6 +86,24 @@ class Cnf:
 
     def __iter__(self):
         return iter(self.clauses)
+
+
+def _clause(lits) -> tuple[int, ...] | None:
+    """The literals as a canonical clause, each once, or None when they hold
+    some l and -l."""
+    lits = set(lits)
+    if len(set(map(abs, lits))) < len(lits):
+        return None
+    return tuple(sorted(lits, key=abs))
+
+
+def _pair(a: int, b: int) -> tuple[int, ...] | None:
+    """The clause a | b in canonical form, None when it is a tautology."""
+    if a == b:
+        return (a,)
+    if a == -b:
+        return None
+    return (a, b) if abs(a) < abs(b) else (b, a)
 
 
 def _merge_equivalent_atoms(n_atoms: int, by_head) -> list[int]:
@@ -147,38 +160,56 @@ def clark_completion(program: Program) -> tuple[Cnf, VarTable]:
     cnf = Cnf()
     table = VarTable(lit)
 
+    add = cnf.add
+    aux_of_body = table.aux_of_body
+    get = lit.__getitem__
     for atom, h in enumerate(lit):
-        sets: dict[frozenset[int], list[int]] = {}
-        for p, n in by_head.get(atom, ()):
-            lits = [lit[a] for a in sorted(p)] + [-lit[a] for a in sorted(n)]
-            key = frozenset(lits)
-            if key.isdisjoint(map(neg, key)):
-                sets.setdefault(key, lits)
+        sets: dict[frozenset[int], tuple[frozenset, frozenset]] = {}
+        for body in by_head.get(atom, ()):
+            p, n = body
+            key = frozenset([*map(get, p), *map(neg, map(get, n))]) if n else frozenset(map(get, p))
+            if len(key) < 2 or key.isdisjoint(map(neg, key)):
+                sets.setdefault(key, body)
         if frozenset() in sets:
-            cnf.add([h])
+            add((h,))
             continue
         disjuncts = []
-        for key, lits in sets.items():
+        for key, (p, n) in sets.items():
             if len(key) == 1:
-                d = lits[0]
+                (d,) = key
             else:
-                d = h
-                if len(sets) > 1:  # the next id, unless an earlier head has this set
-                    d = pos_lit(table.aux_of_body.setdefault(key, len(table)))
-                for l in lits:
-                    cnf.add([-d, l])
-                cnf.add([d] + [-l for l in lits])
+                # the clauses -d | l go out in the order of the body's
+                # positive atoms, then its negative ones
+                lits = [lit[a] for a in sorted(p)] + [-lit[a] for a in sorted(n)]
+                if len(sets) == 1:  # h <-> the set: -h | l per l, h | -set
+                    d = h
+                    for l in lits:
+                        if l != h:
+                            add(_pair(-h, l))
+                    if h not in key:
+                        add(tuple(sorted({h, *map(neg, key)}, key=abs)))
+                else:  # the next id, unless an earlier head defined this set
+                    n_aux = len(aux_of_body)
+                    d = pos_lit(aux_of_body.setdefault(key, table.n_original + n_aux))
+                    if len(aux_of_body) > n_aux:  # d is above every literal of the set
+                        for l in lits:
+                            add((l, -d))
+                        add(tuple(sorted(map(neg, key), key=abs)) + (d,))
             disjuncts.append(d)
         # a disjunct h, from the set {h} or naming h's only set, makes this
         # clause a tautology, as it makes -h | h
         if h not in disjuncts:
-            cnf.add([-h] + disjuncts)
+            clause = _clause([-h, *disjuncts])
+            if clause is not None:
+                add(clause)
         for d in disjuncts:
             if d != h:
-                cnf.add([-d, h])
+                add(_pair(-d, h))
 
     for c in program.constraints:
-        cnf.add([-lit[a] for a in c.pos] + [lit[a] for a in c.neg])
+        clause = _clause([*map(neg, map(get, c.pos)), *map(get, c.neg)])
+        if clause is not None:
+            add(clause)
     return cnf, table
 
 
@@ -194,19 +225,19 @@ def copy_operation(program: Program, info: LoopInfo, table: VarTable) -> Cnf:
     for v in sorted(info.loop_atoms):
         table.copy_of_atom[v] = len(table)
     for v in sorted(info.loop_atoms):
-        cnf.add([-pos_lit(table.copy_of_atom[v]), lit[v]])
+        cnf.add((lit[v], -pos_lit(table.copy_of_atom[v])))  # a copy is above every original
     for r in program.rules:
         if r.head not in info.loop_atoms:
             continue
         lits = []
-        for b in sorted(r.pos_body):
+        for b in r.pos_body:
             if b in info.loop_atoms:
                 lits.append(-pos_lit(table.copy_of_atom[b]))
             else:
                 lits.append(-lit[b])
-        lits += [lit[c] for c in sorted(r.neg_body)]
+        lits += [lit[c] for c in r.neg_body]
         lits.append(pos_lit(table.copy_of_atom[r.head]))
-        cnf.add(lits, keep_tautology=True)
+        cnf.add(tuple(sorted(sorted(set(lits)), key=abs)))  # -v before v
     return cnf
 
 

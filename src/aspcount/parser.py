@@ -14,27 +14,46 @@ insignificant; `not` is reserved. Parenthesized arguments are opaque: the
 whole token "edge(1,2)" is one atom symbol, with no term structure.
 Duplicate statements are dropped (a program is a set of rules).
 
-Tokens are read lazily, one match of a single compiled pattern from the
-current offset, so a grammar error is reported ahead of any bad character
-that follows it.
-Each token carries only its offset; the line and column of a ParseDiagnostic
-are computed from that offset when an error is raised.
+The whole text is split into token strings by one pass of a compiled pattern
+(`findall`), and the recursive descent runs over that list. The pattern
+takes an atom's arguments when they hold no '(' or ')'; an atom whose
+arguments nest ends the pass, `_args_end` finds where they end, and a new
+pass starts there, so every character is read a bounded number of times.
+An offending character, an atom whose arguments nest and the end of input
+(a newline appended to the text) stop the descent. Offsets are computed
+only there, by matching the pattern again over the current pass.
+
+The first error is the one a reader with one token of lookahead meets: a
+token's own lexing error (an offending character, a ':' without '-', an
+unbalanced '(') is reported when that token is reached, and otherwise the
+first grammar error, so a grammar error is reported ahead of any bad
+character that follows it. The line and column of a ParseDiagnostic are
+computed from the offset when an error is raised.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .program import Constraint, Program, Rule, SymbolTable, format_constraint, format_rule
 
-# Skips whitespace and whole comments, then matches one token or nothing (at
-# end of input or an offending character, both at m.end()). The lookahead
-# keeps a backtrack from giving back part of a comment.
+# One match per token: whitespace and whole comments (the lookahead keeps a
+# backtrack from giving back part of one), then the token as group 1. The
+# group is "" at an offending character or an atom whose arguments nest, and
+# "\n" for the newline appended at the end of the text. After the empty match
+# at a nested atom, findall needs a non-empty match at the same offset, which
+# only the second branch gives: it takes the rest of the text in one step, so
+# the pass ends there.
 _TOKEN = re.compile(
     r"(?:\s+|%[^\n]*(?![^\n]))*"
-    r"(?:(?P<ATOM>[A-Za-z_][A-Za-z0-9_]*)|(?P<ARROW>:-)|(?P<DOT>\.)|(?P<COMMA>,))?"
+    r"(not(?![A-Za-z0-9_])|[A-Za-z_][A-Za-z0-9_]*(?:\([^()]*\)|(?![A-Za-z0-9_(]))"
+    r"|:-|[.,]|\n\Z|(?!\Z))"
+    r"|[A-Za-z_][A-Za-z0-9_]*\((?s:.*)"
 )
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NOT_ATOM = frozenset(("", "\n", ",", ".", ":-", "not"))
 
 
 @dataclass(frozen=True)
@@ -62,7 +81,8 @@ def _args_end(text: str, pos: int, start: int) -> int:
     """Offset just past the ')' balancing the '(' at pos.
 
     Each step counts the '(' up to the next ')' and moves past it, so every
-    character is scanned once however deep the nesting.
+    character is scanned once however deep the nesting. For arguments that
+    hold no '(' this is the first ')', where the token pattern ends them.
     """
     depth = 0
     while True:
@@ -76,85 +96,98 @@ def _args_end(text: str, pos: int, start: int) -> int:
 
 
 class _Parser:
-    """Recursive descent over (kind, text, offset) tokens; kinds: ATOM NOT ARROW COMMA DOT EOF."""
+    """Recursive descent over the token strings of the current pass, which
+    starts at offset `self.start` of the text."""
 
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self._next()
+        self.text = text + "\n"
+        self.start = 0
 
-    def _fail(self, message):
-        raise _error(self.text, self.tok[2], message)
+    def _offset(self, k: int) -> int:
+        """Offset of token k of the current pass."""
+        return next(islice(_TOKEN.finditer(self.text, self.start), k, None)).start(1)
 
-    def _next(self):
+    def _nested(self, pos: int):
+        """(symbol, tokens after it) of the atom at pos whose arguments nest,
+        which starts the next pass; raises the lexing error of an offending
+        character at pos instead."""
         text = self.text
-        m = _TOKEN.match(text, self.pos)
-        kind = m.lastgroup
-        if kind is None:
-            pos = m.end()
-            if pos == len(text):
-                self.tok = ("EOF", "", pos)
-                return
+        m = _IDENT.match(text, pos)
+        if m is None:
             ch = text[pos]
             raise _error(text, pos, "expected ':-'" if ch == ":" else f"unexpected character {ch!r}")
-        start, end = m.span(kind)
-        if kind == "ATOM":
-            if m[kind] == "not":
-                kind = "NOT"
-            elif text.startswith("(", end):
-                end = _args_end(text, end, start)
-        self.pos = end
-        self.tok = (kind, text[start:end], start)
+        end = _args_end(text, m.end(), pos)
+        self.start = end
+        return text[pos:end], _TOKEN.findall(text, end)
 
-    def _expect(self, kind, what):
-        if self.tok[0] != kind:
-            self._fail(f"expected {what}, got {self.tok[1]!r}" if self.tok[1] else f"expected {what}, got end of input")
-        text = self.tok[1]
-        self._next()
-        return text
+    def _unexpected(self, toks: list[str], k: int, what: str) -> ParseError:
+        """The error at token k where `what` was expected: token k's own
+        lexing error when it has one."""
+        pos = self._offset(k)
+        tok = toks[k]
+        if not tok:
+            tok = self._nested(pos)[0]
+        got = "end of input" if tok == "\n" else repr(tok)
+        return _error(self.text, pos, f"expected {what}, got {got}")
 
-    def _atom(self, table: SymbolTable) -> int:
-        if self.tok[0] == "NOT":
-            self._fail("'not' before 'not' / 'not' is not an atom")
-        return table.intern(self._expect("ATOM", "an atom"))
-
-    def _body(self, table: SymbolTable):
-        pos, neg = set(), set()
-        while True:
-            if self.tok[0] == "NOT":
-                self._next()
-                neg.add(self._atom(table))
-            else:
-                pos.add(self._atom(table))
-            if self.tok[0] != "COMMA":
-                return frozenset(pos), frozenset(neg)
-            self._next()
+    def _atom(self, toks: list[str], k: int):
+        """(symbol, tokens, index after it) for token k in _NOT_ATOM, which is
+        an atom only when its arguments nest; raises otherwise."""
+        tok = toks[k]
+        if not tok:
+            symbol, toks = self._nested(self._offset(k))
+            return symbol, toks, 0
+        if tok == "not":
+            raise _error(self.text, self._offset(k), "'not' before 'not' / 'not' is not an atom")
+        raise self._unexpected(toks, k, "an atom")
 
     def parse(self) -> Program:
         table = SymbolTable()
+        intern = table.intern
         rules: list[Rule] = []
         constraints: list[Constraint] = []
         seen_rules, seen_constraints = set(), set()
-        while self.tok[0] != "EOF":
-            if self.tok[0] == "ARROW":
-                self._next()
-                pos, neg = self._body(table)
-                self._expect("DOT", "'.' at end of statement")
+        toks = _TOKEN.findall(self.text)
+        i = 0
+        while True:
+            tok = toks[i]
+            i += 1
+            head = None
+            if tok != ":-":
+                if tok in _NOT_ATOM:
+                    if tok == "\n":
+                        return Program(table, rules, constraints)
+                    tok, toks, i = self._atom(toks, i - 1)
+                head = intern(tok)
+                tok = toks[i]
+                i += 1
+            pos, neg = [], []
+            if tok == ":-":
+                while True:
+                    tok = toks[i]
+                    i += 1
+                    body = pos
+                    if tok == "not":
+                        tok = toks[i]
+                        i += 1
+                        body = neg
+                    if tok in _NOT_ATOM:
+                        tok, toks, i = self._atom(toks, i - 1)
+                    body.append(intern(tok))
+                    tok = toks[i]
+                    i += 1
+                    if tok != ",":
+                        break
+            if tok != ".":
+                raise self._unexpected(toks, i - 1, "'.' at end of statement")
+            pos, neg = frozenset(pos), frozenset(neg)
+            if head is None:
                 if (pos, neg) not in seen_constraints:
                     seen_constraints.add((pos, neg))
                     constraints.append(Constraint(pos, neg))
-                continue
-            head = self._atom(table)
-            pos, neg = frozenset(), frozenset()
-            if self.tok[0] == "ARROW":
-                self._next()
-                pos, neg = self._body(table)
-            self._expect("DOT", "'.' at end of statement")
-            key = (head, pos, neg)
-            if key not in seen_rules:
-                seen_rules.add(key)
+            elif (head, pos, neg) not in seen_rules:
+                seen_rules.add((head, pos, neg))
                 rules.append(Rule(head, pos, neg))
-        return Program(table, rules, constraints)
 
 
 def parse_program(text: str) -> Program:

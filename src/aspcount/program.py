@@ -17,11 +17,11 @@ class SymbolTable:
         self._names: list[str] = []
 
     def intern(self, symbol: str) -> AtomId:
-        if not symbol or symbol != symbol.strip():
-            raise ValueError("atom symbol must be a nonempty token, got %r" % (symbol,))
         got = self._ids.get(symbol)
         if got is not None:
             return got
+        if not symbol or symbol != symbol.strip():
+            raise ValueError("atom symbol must be a nonempty token, got %r" % (symbol,))
         idx = len(self._names)
         self._ids[symbol] = idx
         self._names.append(symbol)

@@ -26,6 +26,8 @@ REPORT_KEYS = {
     "cache_entries",
     "peak_cache_bytes",
     "wall_seconds",
+    "parse_seconds",
+    "encode_seconds",
     "tight",
     "n_atoms",
     "n_rules",
@@ -66,6 +68,8 @@ def test_count_stats_json_schema(example1, capsys):
     assert doc["n_vars"] == 7  # 4 classes (a and b are one), 1 aux, 2 copies
     assert doc["path"] is None  # only hybrid takes a path
     assert doc["cache_entries"] > 0 and doc["peak_cache_bytes"] > 0
+    assert doc["parse_seconds"] >= 0 and doc["encode_seconds"] >= 0
+    assert doc["parse_seconds"] + doc["encode_seconds"] <= doc["wall_seconds"]
 
 
 def test_analyze(example1, capsys):
@@ -237,6 +241,7 @@ def test_wall_seconds_includes_parsing(example1, capsys, monkeypatch):
     assert run(["count", example1, "--stats", "json"]) == 0
     doc = json.loads(capsys.readouterr().err.strip())
     assert doc["wall_seconds"] >= 0.05
+    assert doc["parse_seconds"] >= 0.05
 
 
 def test_python_dash_m(example1):

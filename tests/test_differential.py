@@ -300,10 +300,11 @@ def clause_sets(draw):
     for kind in rng.choices("ubtl", weights=(1, 8, 1, 12), k=rng.randint(n, 4 * n)):
         if kind == "t":
             v = rng.randint(1, n)
-            cnf.add((v, -v), keep_tautology=True)
+            cnf.add((-v, v))
         else:
             size = {"u": 1, "b": 2, "l": rng.randint(3, 4)}[kind]
-            cnf.add([lit() for _ in range(size)], keep_tautology=True)
+            lits = {lit() for _ in range(size)}
+            cnf.add(tuple(sorted(lits, key=lambda l: (abs(l), l > 0))))
     return n, cnf, [lit() for _ in range(rng.randint(1, n))]
 
 

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
 import random
+
+import pytest
 
 from aspcount import (
     Engine,
@@ -9,8 +12,11 @@ from aspcount import (
     compute_loop_atoms,
     emit_dimacs,
     gen_choice_chain,
+    gen_hamiltonian,
+    gen_reachability,
     is_answer_set,
     parse_program,
+    random_graph,
 )
 from aspcount.encode import Cnf, PairFormula, pos_lit, var_of
 
@@ -19,6 +25,7 @@ from helpers import (
     copy_clauses_discharge,
     derivable_part,
     extends_to_completion_model,
+    path_text,
     random_program,
     satisfies_completion,
 )
@@ -289,3 +296,26 @@ def test_answer_set_characterization_on_random_programs():
             m = frozenset(a for a in range(p.n_atoms) if bits >> a & 1)
             lhs = extends_to_completion_model(pair, m) and copy_clauses_discharge(pair, m)
             assert lhs == is_answer_set(p, m)
+
+
+# sha1 of emit_dimacs per family: clause order and literal order included. A
+# change to how clauses are built that must not change the formula keeps
+# these; one that changes it on purpose updates them here.
+DIMACS_PINS = [
+    ("example1", "89bd9ba0ba5c7dce6c9a14383bf22bd93a2d770c"),
+    ("path", "a991447a67f1a2923a2b0074f60a41feff0821ce"),
+    ("reach", "2e6a5568a9e26a0ef32e01393476b8c08cc1df45"),
+    ("ham", "8a0cfddfa191e458563665b044b44d0c73ad1693"),
+]
+
+
+@pytest.mark.parametrize("family, digest", DIMACS_PINS)
+def test_dimacs_is_pinned(family, digest):
+    program = {
+        "example1": lambda: parse_program(EXAMPLE1),
+        "path": lambda: parse_program(path_text(40)),
+        "reach": lambda: gen_reachability(random_graph(12, 28, seed=1), 0, 11),
+        "ham": lambda: gen_hamiltonian(random_graph(9, 36, seed=1)),
+    }[family]()
+    text = emit_dimacs(build_pair(program))
+    assert hashlib.sha1(text.encode()).hexdigest() == digest

@@ -105,24 +105,24 @@ def test_residual_example1_assignments():
 
 def test_residual_no_assignment_no_units():
     cnf = Cnf()
-    cnf.add([1, 2])
-    cnf.add([-2, 3])
+    cnf.add((1, 2))
+    cnf.add((-2, 3))
     out = residual(cnf, {})
     assert sorted(out.clauses) == sorted(cnf.clauses)
 
 
 def test_residual_conflict_is_empty_clause():
     cnf = Cnf()
-    cnf.add([1])
-    cnf.add([-1])
+    cnf.add((1,))
+    cnf.add((-1,))
     assert residual(cnf, {}).clauses == [()]
 
 
 def test_residual_propagates_derived_units():
     cnf = Cnf()
-    cnf.add([1])
-    cnf.add([-1, 2])
-    cnf.add([-2, 3, 4])
+    cnf.add((1,))
+    cnf.add((-1, 2))
+    cnf.add((-2, 3, 4))
     assert residual(cnf, {}).clauses == [(3, 4)]
 
 

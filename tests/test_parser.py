@@ -81,12 +81,46 @@ def test_syntax_errors(text, fragment):
         pytest.param("x(1,\n2) :- y(\n3) ?", 3, 4, "unexpected character '?'", id="args-span-lines"),
         pytest.param("not(a).", 1, 1, "'not' before 'not' / 'not' is not an atom", id="not-paren-head"),
         pytest.param(":- not(a).", 1, 7, "unexpected character '('", id="not-paren-body"),
+        # a grammar error at a token comes before any lexing error after it,
+        # and a token's own lexing error before the grammar error it makes
+        pytest.param("a b ?", 1, 3, "expected '.' at end of statement, got 'b'", id="grammar-before-bad-char"),
+        pytest.param("a b f(", 1, 3, "expected '.' at end of statement, got 'b'", id="grammar-before-unbalanced"),
+        pytest.param("a :- b c(", 1, 8, "unbalanced '(' in atom arguments", id="unbalanced-before-grammar"),
+        pytest.param("a. b :- c d((", 1, 11, "unbalanced '(' in atom arguments", id="unbalanced-after-statement"),
+        pytest.param("a :- b,\n% c\n", 3, 1, "expected an atom, got end of input", id="end-after-comment"),
+        pytest.param("p (1).", 1, 3, "unexpected character '('", id="space-before-args"),
+        pytest.param("a :- p(1), q).", 1, 13, "unexpected character ')'", id="args-end-at-first-close"),
     ],
 )
 def test_diagnostic_position(text, line, column, message):
     with pytest.raises(ParseError) as err:
         parse_program(text)
     assert err.value.diagnostic == ParseDiagnostic(line, column, message)
+
+
+@pytest.mark.parametrize(
+    "text,symbols",
+    [
+        ("p(f(%)).", ["p(f(%))"]),
+        ("p(1.5).", ["p(1.5)"]),
+        ("p(f(.)) :- q(%x\n).", ["p(f(.))", "q(%x\n)"]),
+    ],
+)
+def test_arguments_are_opaque(text, symbols):
+    assert list(parse_program(text).atoms) == symbols
+
+
+def test_unicode_whitespace_separates_tokens():
+    p = parse_program("a.\u3000b.\xa0c :-\u2003b.\x0b")
+    assert list(p.atoms) == ["a", "b", "c"]
+    assert len(p.rules) == 3
+
+
+def test_many_nested_argument_statements():
+    n = 20_000
+    p = parse_program("".join(f"p(f({i})).\n" for i in range(n)))
+    assert p.n_atoms == len(set(p.atoms)) == n
+    assert len(p.rules) == n
 
 
 def test_deeply_nested_args_are_one_symbol():
