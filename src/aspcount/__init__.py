@@ -22,7 +22,7 @@ from .benchgen import (
 from .encode import Cnf, PairFormula, build_pair, emit_dimacs
 from .engine import Engine, RunStats
 from .errors import ResourceLimitError
-from .oracle import brute_force_count, gl_reduct, is_answer_set, least_model, residual
+from .oracle import brute_force_count, gl_reduct, is_answer_set, least_model
 from .parser import ParseDiagnostic, ParseError, parse_program, render_program
 from .program import AtomId, Constraint, Program, Rule, SymbolTable, validate
 
@@ -59,6 +59,5 @@ __all__ = [
     "parse_program",
     "random_graph",
     "render_program",
-    "residual",
     "validate",
 ]

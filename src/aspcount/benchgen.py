@@ -47,13 +47,6 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def render_graph(graph: Graph) -> str:
-    edges = sorted(graph.edges)
-    lines = ["%d %d" % (graph.n_nodes, len(edges))]
-    lines += ["%d %d" % e for e in edges]
-    return "\n".join(lines) + "\n"
-
-
 def random_graph(n_nodes: int, n_edges: int, seed: int) -> Graph:
     """Seeded uniform sample of n_edges ordered pairs (no self-edges)."""
     pairs = [(u, v) for u in range(n_nodes) for v in range(n_nodes) if u != v]

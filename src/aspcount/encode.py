@@ -1,10 +1,12 @@
 """Pair representation of a program: completion CNF plus copy-implication CNF.
 
 Literal convention: variable v (0-based) appears as the signed integer
-+(v+1) / -(v+1), DIMACS style. `build_pair` first drops every rule whose
-positive body is not inside the derivable atoms (`analysis.derivable_atoms`),
-so each atom outside them has no body and a unit -a. It then merges each
-head whose only usable body is one literal other than itself, such as
++(v+1) / -(v+1), DIMACS style. `build_pair` first keeps only the rules
+that can fire: positive body inside the derivable atoms
+(`analysis.derivable_atoms`), head not in its own positive body, and no atom
+both positive and negative in the body. So each atom outside the derivable
+ones has no body and a unit -a. It then merges each head whose only body is
+one literal other than itself, such as
 `a :- not b.` or `a :- b.`, with that literal: the completion entails
 a <-> L[a], so substituting one literal per class maps its models one to
 one. Variables come in three contiguous blocks, in this order (see
@@ -19,11 +21,8 @@ one. Variables come in three contiguous blocks, in this order (see
   copy      one fresh variable per loop atom
 
 The completion CNF never mentions copy variables; every copy clause mentions
-at least one. Copy clauses are built literally from the rules, through the
-atom map, including both-polarity (tautological) clauses from self-loop
-rules: under the residual semantics used for the vanishing test those
-clauses are what blocks a loop atom from justifying itself, so they must
-not be simplified away.
+at least one. Copy clauses are built literally from the kept rules, through
+the atom map.
 """
 
 from __future__ import annotations
@@ -37,10 +36,6 @@ from .program import AtomId, Program
 
 def pos_lit(v: int) -> int:
     return v + 1
-
-
-def var_of(lit: int) -> int:
-    return abs(lit) - 1
 
 
 class VarTable:
@@ -108,15 +103,15 @@ def _pair(a: int, b: int) -> tuple[int, ...] | None:
 
 def _merge_equivalent_atoms(n_atoms: int, by_head) -> list[int]:
     """The literal of each atom: one variable per class of atoms that a
-    head's only usable body ties together when that body is one literal
-    other than the head, numbered by each class's smallest atom."""
+    head's only body ties together when that body is one literal other than
+    the head, numbered by each class's smallest atom."""
     ties: list[list[tuple[int, int]]] = [[] for _ in range(n_atoms)]
     for head, bodies in by_head.items():
         if len(bodies) == 1:
             ((pos, neg),) = bodies
             if len(pos) + len(neg) == 1:
                 (b,) = pos or neg
-                if b != head:  # a self-loop a :- a. keeps its own variable
+                if b != head:  # only a :- not a. gets here: a keeps its own variable
                     sign = 1 if pos else -1
                     ties[head].append((b, sign))
                     ties[b].append((head, sign))
@@ -154,8 +149,7 @@ def clark_completion(program: Program) -> tuple[Cnf, VarTable]:
     """
     by_head: dict[AtomId, dict[tuple[frozenset, frozenset], None]] = {}
     for r in program.rules:
-        if not r.body_unsatisfiable:  # the merge counts usable bodies only
-            by_head.setdefault(r.head, {})[r.pos_body, r.neg_body] = None
+        by_head.setdefault(r.head, {})[r.pos_body, r.neg_body] = None
     lit = _merge_equivalent_atoms(program.n_atoms, by_head)
     cnf = Cnf()
     table = VarTable(lit)
@@ -257,10 +251,15 @@ class PairFormula:
 
 
 def build_pair(program: Program) -> PairFormula:
-    """The pair of the program without the rules whose positive body is not
-    inside the derivable atoms: no answer set fires them."""
+    """The pair of the program without the rules that cannot fire (see the
+    module docstring): none derives an atom in the reduct of an answer set,
+    and every answer set of the other rules satisfies them."""
     derivable = derivable_atoms(program)
-    rules = [r for r in program.rules if r.pos_body <= derivable]
+    rules = [
+        r for r in program.rules
+        if r.pos_body <= derivable and r.head not in r.pos_body
+        and r.pos_body.isdisjoint(r.neg_body)
+    ]
     program = Program(program.atoms, rules, program.constraints)
     info = compute_loop_atoms(build_dep_graph(program))
     completion, table = clark_completion(program)

@@ -13,17 +13,16 @@ values the leaf (see below), and the search stops once more than `limit`
 leaves are answers.
 
 A component is (vars, listed clause ids): its sorted unassigned variables
-and the ascending ids of its unsatisfied listed clauses. Listed clauses are
-those of three or more literals plus the tautological binaries `x | -x`
-(kept from self-loop rules by `encode.copy_operation`). Every other binary
-clause is implied by the variables, as in sharpSAT (Thurley, SAT 2006): at
-a conflict-free fixpoint it is unsatisfied exactly when both its variables
-are unassigned. `decompose` finds components by walking, from each reached
-variable, its binary neighbours and the occurrence lists of its listed
-clauses. The cache key is that pair, and it is exact: equal variable sets
-hold the same unsatisfied binary clauses, and a listed clause in the key is
-unsatisfied with all its assigned literals false, so its residual is its
-canonical literals restricted to the component's variables.
+and the ascending ids of its unsatisfied listed clauses, those of three or
+more literals. A binary clause is implied by the variables, as in sharpSAT
+(Thurley, SAT 2006): at a conflict-free fixpoint it is unsatisfied exactly
+when both its variables are unassigned. `decompose` finds components by
+walking, from each reached variable, its binary neighbours and the
+occurrence lists of its listed clauses. The cache key is that pair, and it
+is exact: equal variable sets hold the same unsatisfied binary clauses, and
+a listed clause in the key is unsatisfied with all its assigned literals
+false, so its residual is its canonical literals restricted to the
+component's variables.
 
 The assignment is one array indexed by literal, as in MiniSat (Een &
 Sorensson, SAT 2003): `lit_value[lit + n_vars]` is 1 (true), 0 (false) or
@@ -387,22 +386,22 @@ class Engine:
         return comps
 
     def _build_occurrences(self) -> list[list[int]]:
-        # per variable, the other variable of each non-tautological binary
-        # clause holding it; per listed clause, (variable, literal slot) per
-        # canonical literal (() for the others), and per variable the listed
-        # clauses holding it. Units are never listed: at a fixpoint they are
-        # satisfied.
+        # per variable, the other variable of each binary clause holding it
+        # (build_pair makes no x | -x); per listed clause, (variable, literal
+        # slot) per canonical literal (() for the others), and per variable
+        # the listed clauses holding it. Units are never listed: at a
+        # fixpoint they are satisfied.
         n = self.n_vars
         nbrs: list[list[int]] = [[] for _ in range(n)]
         occ: list[list[int]] = [[] for _ in range(n)]
         lit_pairs: list[tuple[tuple[int, int], ...]] = [()] * len(self.canon)
         for ci, c in enumerate(self.canon):
-            if len(c) == 2 and c[0] != -c[1]:
+            if len(c) == 2:
                 a = abs(c[0]) - 1
                 b = abs(c[1]) - 1
                 nbrs[a].append(b)
                 nbrs[b].append(a)
-            elif len(c) > 1:
+            elif len(c) > 2:
                 pairs = lit_pairs[ci] = tuple((abs(l) - 1, l + n) for l in c)
                 for w, _ in pairs:
                     occ[w].append(ci)

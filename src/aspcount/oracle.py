@@ -1,15 +1,14 @@
 """Independent ground-truth implementations used to check the engine.
 
 Everything here is deliberately naive and shares no machinery with the
-search engine: reduct + least-model answer-set checking, exhaustive
-counting, and a reference residual/unit-propagation evaluator.
+search engine: reduct + least-model answer-set checking and exhaustive
+counting.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .encode import Cnf, var_of
 from .errors import ResourceLimitError
 from .program import AtomId, Program
 
@@ -68,47 +67,3 @@ def brute_force_count(program: Program, cap: int = DEFAULT_ATOM_CAP) -> int:
             count += 1
     return count
 
-
-def residual(cnf: Cnf, assignment: Mapping[int, bool]) -> Cnf:
-    """Reference unit propagation of a partial assignment on a clause list.
-
-    Satisfied clauses are removed, false literals are shrunk away, and
-    derived unit clauses act as further assignments, to fixpoint. Returns
-    the surviving clauses (duplicates kept: residual comparisons are over
-    multisets). A conflict yields a single empty clause.
-    """
-    values: dict[int, bool] = dict(assignment)
-    work = [list(c) for c in cnf.clauses]
-    while True:
-        survivors = []
-        units: list[int] = []
-        for clause in work:
-            keep = []
-            satisfied = False
-            for l in clause:
-                val = values.get(var_of(l))
-                if val is None:
-                    keep.append(l)
-                elif val == (l > 0):
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            if not keep:
-                return Cnf([()])
-            if len(keep) == 1:
-                units.append(keep[0])
-            survivors.append(keep)
-        consistent_units = {}
-        for l in units:
-            v = var_of(l)
-            if consistent_units.get(v, l > 0) != (l > 0):
-                return Cnf([()])
-            consistent_units[v] = l > 0
-        if not consistent_units:
-            out = sorted(
-                tuple(sorted(c, key=lambda l: (abs(l), l > 0))) for c in survivors
-            )
-            return Cnf(out)
-        values.update(consistent_units)
-        work = survivors

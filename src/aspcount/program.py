@@ -30,9 +30,6 @@ class SymbolTable:
     def name(self, atom: AtomId) -> str:
         return self._names[atom]
 
-    def id_of(self, symbol: str) -> AtomId:
-        return self._ids[symbol]
-
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._ids
 

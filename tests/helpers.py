@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Mapping
 
 from aspcount.analysis import derivable_atoms
-from aspcount.oracle import residual
-from aspcount.program import Constraint, Program, Rule, SymbolTable
+from aspcount.benchgen import Graph
+from aspcount.encode import Cnf
+from aspcount.program import AtomId, Constraint, Program, Rule, SymbolTable
 
 EXAMPLE1 = """\
 a :- not b.
@@ -18,6 +20,68 @@ d :- a.
 d :- b, c.
 e :- not a, not b.
 """
+
+
+def id_of(table: SymbolTable, symbol: str) -> AtomId:
+    """The id of an interned symbol."""
+    return list(table).index(symbol)
+
+
+def var_of(lit: int) -> int:
+    return abs(lit) - 1
+
+
+def render_graph(graph: Graph) -> str:
+    """The edge-list text that `benchgen.parse_graph` reads."""
+    edges = sorted(graph.edges)
+    lines = ["%d %d" % (graph.n_nodes, len(edges))]
+    lines += ["%d %d" % e for e in edges]
+    return "\n".join(lines) + "\n"
+
+
+def residual(cnf: Cnf, assignment: Mapping[int, bool]) -> Cnf:
+    """Reference unit propagation of a partial assignment on a clause list.
+
+    Satisfied clauses are removed, false literals are shrunk away, and
+    derived unit clauses act as further assignments, to fixpoint. Returns
+    the surviving clauses (duplicates kept: residual comparisons are over
+    multisets). A conflict yields a single empty clause.
+    """
+    values: dict[int, bool] = dict(assignment)
+    work = [list(c) for c in cnf.clauses]
+    while True:
+        survivors = []
+        units: list[int] = []
+        for clause in work:
+            keep = []
+            satisfied = False
+            for l in clause:
+                val = values.get(var_of(l))
+                if val is None:
+                    keep.append(l)
+                elif val == (l > 0):
+                    satisfied = True
+                    break
+            if satisfied:
+                continue
+            if not keep:
+                return Cnf([()])
+            if len(keep) == 1:
+                units.append(keep[0])
+            survivors.append(keep)
+        consistent_units = {}
+        for l in units:
+            v = var_of(l)
+            if consistent_units.get(v, l > 0) != (l > 0):
+                return Cnf([()])
+            consistent_units[v] = l > 0
+        if not consistent_units:
+            out = sorted(
+                tuple(sorted(c, key=lambda l: (abs(l), l > 0))) for c in survivors
+            )
+            return Cnf(out)
+        values.update(consistent_units)
+        work = survivors
 
 
 def path_text(n: int) -> str:
@@ -103,9 +167,16 @@ def satisfies_completion(program: Program, m: frozenset[int]) -> bool:
 
 def derivable_part(program: Program) -> Program:
     """The program that build_pair encodes: the rules whose positive body
-    lies inside the derivable atoms."""
+    lies inside the derivable atoms and holds neither the head nor an atom
+    of the negative body."""
     derivable = derivable_atoms(program)
-    rules = [r for r in program.rules if r.pos_body <= derivable]
+    rules = [
+        r
+        for r in program.rules
+        if r.pos_body <= derivable
+        and r.head not in r.pos_body
+        and r.pos_body.isdisjoint(r.neg_body)
+    ]
     return Program(program.atoms, rules, program.constraints)
 
 

@@ -20,7 +20,6 @@ from aspcount import (
     gen_reachability,
     is_answer_set,
     parse_program,
-    residual,
 )
 from aspcount.encode import pos_lit
 
@@ -31,7 +30,9 @@ from helpers import (
     disjoint_union,
     extends_to_completion_model,
     graph_ham_count,
+    id_of,
     random_program,
+    residual,
 )
 
 
@@ -53,7 +54,7 @@ def test_c01_example1_fidelity():
     with criterion(1, "Example 1: loop atoms, copy clauses, residuals, count 2"):
         t0 = time.perf_counter()
         p = parse_program(EXAMPLE1)
-        a, b, c, d, e = (p.atoms.id_of(s) for s in "abcde")
+        a, b, c, d, e = (id_of(p.atoms, s) for s in "abcde")
 
         info = compute_loop_atoms(build_dep_graph(p))
         assert info.loop_atoms == {c, d}

@@ -15,9 +15,7 @@ from aspcount import (
     random_graph,
     render_program,
 )
-from aspcount.benchgen import render_graph
-
-from helpers import graph_ham_count, graph_reach_count
+from helpers import graph_ham_count, graph_reach_count, render_graph
 
 
 def _count(program):

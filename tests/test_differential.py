@@ -153,7 +153,7 @@ def test_cache_key_determines_residual(program):
 def merge_programs(draw):
     """A program of 2-9 atoms made mostly of the shapes the encoder
     simplifies: one-literal rules, the head itself allowed (merged into one
-    variable per class unless they are self-loops), negation pairs, a
+    variable per class; build_pair drops a self-loop), negation pairs, a
     negation pair x, y beside a rule whose body holds both (the map makes it
     contradictory, as `x, y`, or one literal, as `x, not y`), positive
     cycles with or without outside support, the contradictory cycles
@@ -286,8 +286,8 @@ def test_unreachable_target_counts_zero_without_deciding():
 @st.composite
 def clause_sets(draw):
     """(variable count, clauses, assumption literals). The clauses mix
-    units, binaries, tautological binary copy clauses (x or not x, which
-    copy_operation keeps from self-loop rules) and clauses of 3-4 literals,
+    units, binaries, tautological binaries (x or not x, which propagate
+    must take though build_pair makes none) and clauses of 3-4 literals,
     drawn from a seeded rng so that assumptions often end in a conflict."""
     n = draw(st.integers(3, 8))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -387,16 +387,15 @@ def test_path_counts_are_fibonacci(n):
 
 def _full_clauses(eng, c):
     """A component's clause ids with its binary clauses made explicit: its
-    listed ids plus every non-tautological binary clause over two of its
-    variables, ascending."""
+    listed ids plus every binary clause over two of its variables,
+    ascending."""
     owned = set(c.vars)
-    for ci in c.clause_idxs:  # listed: three or more literals, or x | -x
-        cl = eng.canon[ci]
-        assert len(cl) > 2 or (len(cl) == 2 and cl[0] == -cl[1])
+    for ci in c.clause_idxs:  # listed: three or more literals
+        assert len(eng.canon[ci]) > 2
     binary = [
         ci
         for ci, cl in enumerate(eng.canon)
-        if len(cl) == 2 and cl[0] != -cl[1] and {abs(l) - 1 for l in cl} <= owned
+        if len(cl) == 2 and {abs(l) - 1 for l in cl} <= owned
     ]
     return sorted([*c.clause_idxs, *binary])
 

@@ -18,16 +18,18 @@ from aspcount import (
     parse_program,
     random_graph,
 )
-from aspcount.encode import Cnf, PairFormula, pos_lit, var_of
+from aspcount.encode import pos_lit
 
 from helpers import (
     EXAMPLE1,
     copy_clauses_discharge,
     derivable_part,
     extends_to_completion_model,
+    id_of,
     path_text,
     random_program,
     satisfies_completion,
+    var_of,
 )
 
 
@@ -36,7 +38,7 @@ def _clause(*lits):
 
 
 def _lits(program, pair, names):
-    return [pair.vars.lit_of_atom[program.atoms.id_of(s)] for s in names]
+    return [pair.vars.lit_of_atom[id_of(program.atoms, s)] for s in names]
 
 
 def test_single_rule_atom_clauses_match_truth_table():
@@ -75,7 +77,7 @@ def test_copy_operation_example1_exact():
     p = parse_program(EXAMPLE1)
     pair = build_pair(p)
     a, b, c, d = _lits(p, pair, "abcd")
-    cc, cd = (pos_lit(pair.vars.copy_of_atom[p.atoms.id_of(s)]) for s in "cd")
+    cc, cd = (pos_lit(pair.vars.copy_of_atom[id_of(p.atoms, s)]) for s in "cd")
     expected = {
         _clause(-cc, c),
         _clause(-cd, d),
@@ -110,7 +112,7 @@ def test_example1_bodies_the_map_contradicts_drop_out():
         _clause(-e),
     }
     assert len(pair.completion) == 9
-    cc = pos_lit(pair.vars.copy_of_atom[p.atoms.id_of("c")])
+    cc = pos_lit(pair.vars.copy_of_atom[id_of(p.atoms, "c")])
     assert len(pair.copy_clauses) == 6 and _clause(-a, -b, cc) in pair.copy_clauses
 
 
@@ -152,19 +154,29 @@ def test_underivable_self_loop_is_a_unit():
     assert not pair.copy_vars and len(pair.copy_clauses) == 0
 
 
-def test_self_loop_keeps_cyclic_copy_clause():
-    # a is derivable (through not b) but unsupported where b holds; dropping
-    # the both-polarity clause would let a justify itself there and miscount
-    # 3 answer sets instead of 2
+def test_self_supported_atom_gets_no_copy_variable():
+    # a :- a. fires only once a :- not b. has derived a, so build_pair drops
+    # it: a is no loop atom, and its one body a :- not b. merges it with -b
     p = parse_program("a :- a.\na :- not b.\nb :- not c.\nc :- not b.")
     pair = build_pair(p)
     a, b = _lits(p, pair, "ab")
-    cp = pos_lit(pair.vars.copy_of_atom[0])
-    taut = _clause(-cp, cp)
-    assert set(pair.copy_clauses.clauses) == {_clause(-cp, a), taut, _clause(b, cp)}
-    assert Engine(pair).count()[0] == brute_force_count(p) == 2
-    dropped = Cnf(c for c in pair.copy_clauses if c != taut)
-    assert Engine(PairFormula(pair.completion, dropped, pair.vars)).count()[0] == 3
+    assert a == -b
+    assert not pair.copy_vars and len(pair.copy_clauses) == 0
+    assert not any(len(c) == 2 and c[0] == -c[1] for c in pair.completion)
+    for use_cache in (True, False):
+        assert Engine(pair, use_cache=use_cache).count()[0] == brute_force_count(p) == 2
+
+
+def test_contradictory_body_does_not_block_a_merge():
+    # a :- b, not b. is false everywhere, so build_pair drops it, and a's
+    # only body left, c, merges a with c
+    p = parse_program("a :- c.\na :- b, not b.\n" + _choices("bc"))
+    pair = build_pair(p)
+    a, c = _lits(p, pair, "ac")
+    assert a == c
+    assert pair.n_vars == 2 and not pair.vars.aux_of_body
+    for use_cache in (True, False):
+        assert Engine(pair, use_cache=use_cache).count()[0] == brute_force_count(p) == 4
 
 
 def test_build_pair_example1_invariants():
@@ -205,6 +217,9 @@ def test_variable_blocks_on_random_programs():
 
         assert not any(var_of(l) >= first for c in pair.completion for l in c)
         assert all(any(var_of(l) >= first for l in c) for c in pair.copy_clauses)
+        # no binary clause is over one variable, (-v, v)
+        clauses = pair.completion.clauses + pair.copy_clauses.clauses
+        assert not any(len(c) == 2 and c[0] == -c[1] for c in clauses)
 
         blocks = {"orig": (0, t.n_original), "aux": (t.n_original, first), "copy": (first, n)}
         expected = {k: list(range(lo + 1, hi + 1)) for k, (lo, hi) in blocks.items() if lo < hi}

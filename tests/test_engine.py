@@ -15,11 +15,10 @@ from aspcount import (
     gen_reachability,
     parse_program,
     random_graph,
-    residual,
 )
 from aspcount.encode import Cnf, pos_lit
 
-from helpers import EXAMPLE1, disjoint_union, path_text, random_program
+from helpers import EXAMPLE1, disjoint_union, id_of, path_text, random_program, residual
 
 
 def _pair(text):
@@ -99,7 +98,7 @@ def test_decide_skips_copy_vars():
     eng = Engine(pair)
     comps = eng.decompose(range(pair.n_vars))
     # e's only clause is its unit -e, so it is a singleton beside the rest
-    e = pair.vars.lit_of_atom[p.atoms.id_of("e")]
+    e = pair.vars.lit_of_atom[id_of(p.atoms, "e")]
     assert [comp.vars for comp in comps[1:]] == [(abs(e) - 1,)]
     v = eng.decide(comps[0])
     assert v is not None and v not in pair.copy_vars
@@ -190,7 +189,7 @@ def test_decompose_disjoint_copies():
     comps = eng.decompose(range(both.n_vars))
     # one component per copy, plus e and e2, whose only clauses are their
     # units -e and -e2, which propagate does not set
-    e_vars = [abs(both.vars.lit_of_atom[program.atoms.id_of(s)]) - 1 for s in ("e", "e2")]
+    e_vars = [abs(both.vars.lit_of_atom[id_of(program.atoms, s)]) - 1 for s in ("e", "e2")]
     assert len(comps) == 4
     assert sorted(comp.vars for comp in comps if len(comp.vars) == 1) == [(v,) for v in e_vars]
     assert brute_force_count(p1) == brute_force_count(p2) == 2
@@ -206,29 +205,32 @@ def test_decompose_all_satisfied_yields_free_singletons():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, loop_atoms",
     [
         # a is derivable, and unsupported where b holds
-        "a :- a.\na :- not b.\nb :- not c.\nc :- not b.",
-        "a :- a.\na :- not b.\nb :- not a.",
+        ("a :- a.\na :- not b.\nb :- not c.\nc :- not b.", ""),
+        ("a :- a.\na :- not b.\nb :- not a.", ""),
         # a two-atom loop, a self-loop on b and a's external support
-        "a :- b.\nb :- a.\nb :- b.\na :- not c.\nc :- not a.",
+        ("a :- b.\nb :- a.\nb :- b.\na :- not c.\nc :- not a.", "ab"),
     ],
+    ids=["derivable", "negation-pair", "two-atom-loop"],
 )
-def test_self_loop_tautology_stays_listed(text):
-    # a self-loop rule gives the copy clause x' | -x', which no binary
-    # neighbour list can imply: decompose must list it
+def test_self_loop_leaves_no_one_variable_binary(text, loop_atoms):
+    # build_pair drops every rule whose head is in its positive body: a
+    # self-supported atom gets a copy only from a longer loop, and no clause
+    # is a binary x | -x, which no binary neighbour list could imply
     program = parse_program(text)
     pair = build_pair(program)
     expected = brute_force_count(program)
     for use_cache in (True, False):
         assert Engine(pair, use_cache=use_cache).count()[0] == expected
+    copies = {program.symbol(a) for a in pair.vars.copy_of_atom}
+    assert copies == set(loop_atoms)
     eng = Engine(pair)
+    assert not any(len(c) == 2 and c[0] == -c[1] for c in eng.canon)
     assert eng._apply_initial()
-    taut = {ci for ci, c in enumerate(eng.canon) if len(c) == 2 and c[0] == -c[1]}
-    assert taut
     listed = {ci for comp in eng.decompose(range(eng.n_vars)) for ci in comp.clause_idxs}
-    assert taut <= listed
+    assert all(len(eng.canon[ci]) > 2 for ci in listed)
 
 
 def test_free_variable_factors():

@@ -10,16 +10,15 @@ from aspcount import (
     is_answer_set,
     least_model,
     parse_program,
-    residual,
 )
 from aspcount.encode import Cnf
 from aspcount.program import Constraint, Program, Rule, SymbolTable
 
-from helpers import EXAMPLE1, random_program
+from helpers import EXAMPLE1, id_of, random_program, residual
 
 
 def _ids(p, *symbols):
-    return tuple(p.atoms.id_of(s) for s in symbols)
+    return tuple(id_of(p.atoms, s) for s in symbols)
 
 
 def test_gl_reduct_example1():

@@ -4,7 +4,7 @@ import pytest
 
 from aspcount import ParseDiagnostic, ParseError, parse_program, render_program
 
-from helpers import EXAMPLE1, random_program
+from helpers import EXAMPLE1, id_of, random_program
 
 
 def test_example1_shape():
@@ -32,7 +32,7 @@ def test_constraint_only():
     assert not p.rules
     assert len(p.constraints) == 1
     c = p.constraints[0]
-    assert c.pos == {p.atoms.id_of("a")} and c.neg == {p.atoms.id_of("b")}
+    assert c.pos == {id_of(p.atoms, "a")} and c.neg == {id_of(p.atoms, "b")}
 
 
 def test_comments_and_whitespace():

@@ -3,7 +3,7 @@ import pytest
 from aspcount import brute_force_count, parse_program, validate
 from aspcount.program import Constraint, Program, Rule, SymbolTable
 
-from helpers import EXAMPLE1
+from helpers import EXAMPLE1, id_of
 
 
 def test_intern_idempotent():
@@ -16,7 +16,7 @@ def test_intern_contiguous():
     assert t.intern("a") == 0
     assert t.intern("b") == 1
     assert len(t) == 2
-    assert t.name(0) == "a" and t.id_of("b") == 1
+    assert t.name(0) == "a" and id_of(t, "b") == 1
 
 
 def test_intern_opaque_ground_terms():
