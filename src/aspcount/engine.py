@@ -66,12 +66,10 @@ copy (the leaf is worth 0) or none (the leaf is an answer). Count mode
 takes copy-literal assumptions, under which (i) need not hold, and keeps
 its own base cases.
 
-Branching reuses the walk: `decompose` also counts, per variable, its
-literals in its component's clauses, and `decide` takes the non-copy
-variable with the highest count. The counts are never stale when read:
-sibling components are variable-disjoint, and the search of one sibling
-backtracks before the next is branched on, so the assignment over a
-component's variables is still the one its `decompose` saw. Ties go to the
+Branching reads only the component it is handed: `decide` counts, per
+free non-copy variable, its literals in the component's listed clauses,
+and takes the variable with the highest count. Binary clauses do not
+count, so the count walks only the listed clauses. Ties go to the
 variable in the best-ranked separator of a nested dissection of the primal
 graph on BFS layers (George & Liu, 1978; built with the occurrence lists
 on the first `decompose`), after sharpSAT-TD's separators-first branching
@@ -180,9 +178,9 @@ class Engine:
         self._lit_pairs: list[tuple[tuple[int, int], ...]] = []
         self._clause_mark: list[int] = []
         self._var_mark: list[int] = []
-        self._score: list[int] = []
         self._stamp = 0
-        # decide's tie ranks, built with the occurrence lists
+        # decide's scores and tie ranks, built with the occurrence lists
+        self._score: list[int] = []
         self._tie: list[int] | None = None
         self._tie_span = 0
 
@@ -330,11 +328,7 @@ class Engine:
         component's, and the walk never leaves them. Needs a conflict-free
         propagation fixpoint: a binary clause is then unsatisfied exactly
         when both its variables are unassigned, and any unsatisfied clause
-        has an unassigned variable, from which the walk reaches it.
-
-        Also sets `_score[w]`, for each variable w of each component, to the
-        number of w's literals in the component's clauses, binary ones
-        included; `decide` reads it."""
+        has an unassigned variable, from which the walk reaches it."""
         occ = self._occ
         if occ is None:
             occ = self._build_occurrences()
@@ -343,7 +337,6 @@ class Engine:
         value = self.lit_value
         cmark = self._clause_mark
         vmark = self._var_mark
-        score = self._score
         pos = self.n_vars + 1  # variable v's literal v + 1 has the slot pos + v
         self._stamp += 1
         seen = self._stamp  # clause checked, or variable reached, this call
@@ -352,20 +345,13 @@ class Engine:
             if value[pos + v] != -1 or vmark[v] == seen:
                 continue
             vmark[v] = seen
-            score[v] = 0
             cvars = [v]
             cids = []
             for u in cvars:  # grows while the walk reaches new variables
-                # each binary clause of u and an unassigned w adds one to
-                # w's score here and one to u's from w's own list
                 for w in nbrs[u]:
-                    if value[pos + w] == -1:
-                        if vmark[w] == seen:
-                            score[w] += 1
-                        else:
-                            vmark[w] = seen
-                            score[w] = 1
-                            cvars.append(w)
+                    if value[pos + w] == -1 and vmark[w] != seen:
+                        vmark[w] = seen
+                        cvars.append(w)
                 for ci in occ[u]:
                     if cmark[ci] == seen:
                         continue
@@ -377,13 +363,9 @@ class Engine:
                     else:
                         cids.append(ci)
                         for w, s in pairs:
-                            if value[s] == -1:
-                                if vmark[w] == seen:
-                                    score[w] += 1
-                                else:
-                                    vmark[w] = seen
-                                    score[w] = 1
-                                    cvars.append(w)
+                            if value[s] == -1 and vmark[w] != seen:
+                                vmark[w] = seen
+                                cvars.append(w)
             cvars.sort()
             cids.sort()
             comps.append(Component(tuple(cvars), tuple(cids)))
@@ -419,21 +401,21 @@ class Engine:
         return occ
 
     def decide(self, comp: Component) -> int | None:
-        """Non-copy variable of a component returned by `decompose` with the
-        most literals in the component's clauses, read from `_score`. Ties go
-        to the lowest BFS-layer rank (see `_build_tie`), then to the smallest
+        """Free non-copy variable of `comp` with the most literals in the
+        component's listed clauses (binary clauses do not count). Ties go to
+        the lowest BFS-layer rank (see `_build_tie`), then to the smallest
         index; the seeded rng instead picks among the variables tied on both
-        score and rank.
-
-        `_score` is current for every component the search passes here: it
-        was returned by the latest `decompose` to reach its variables (the
-        components of one split are variable-disjoint and each is searched
-        and backtracked before the next), and the assignment over its
-        variables has not changed since."""
+        score and rank. Needs the occurrence lists of a first `decompose`."""
         free = comp.vars[: bisect_left(comp.vars, self.first_copy)]
         if not free:
             return None
         score = self._score
+        for v in free:
+            score[v] = 0
+        lit_pairs = self._lit_pairs
+        for ci in comp.clause_idxs:
+            for w, _ in lit_pairs[ci]:
+                score[w] += 1  # read below only for the free variables
         tie = self._tie
         span = self._tie_span
         # one int per candidate, ordered by (score, -rank, -index); the
@@ -537,17 +519,18 @@ class Engine:
 
     def _store(self, key: bytes, val: int):
         """Caches one component value, evicting least recently used entries
-        to stay under the byte cap."""
+        to stay under the byte cap; an entry larger than the cap alone
+        raises before anything is evicted."""
         cache = self._cache
         size = len(key) + 64 + (val.bit_length() >> 3)
-        while self._cache_bytes + size > self.cache_limit_bytes and cache:
-            old_key, old_val = cache.popitem(last=False)
-            self._cache_bytes -= len(old_key) + 64 + (old_val.bit_length() >> 3)
-            self.stats.cache_evictions += 1
         if size > self.cache_limit_bytes:
             raise ResourceLimitError(
                 "one cache entry exceeds the cache byte cap", self._finalize()
             )
+        while self._cache_bytes + size > self.cache_limit_bytes:
+            old_key, old_val = cache.popitem(last=False)
+            self._cache_bytes -= len(old_key) + 64 + (old_val.bit_length() >> 3)
+            self.stats.cache_evictions += 1
         cache[key] = val
         self._cache_bytes += size
         if self._cache_bytes > self.stats.peak_cache_bytes:

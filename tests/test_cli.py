@@ -297,3 +297,18 @@ def test_budget_exhaustion_exit_code(tmp_path, capsys):
     assert captured.out == ""
     doc = json.loads(captured.err.strip().splitlines()[0])
     assert doc["answer_count"] == "exceeded"
+
+
+def test_zero_cache_limit_exits_at_first_stored_component(tmp_path, capsys):
+    # the one variable of the negation pair is a free singleton, and even
+    # its value is stored, so a 0 MB cap holds nothing
+    path = tmp_path / "pair.gnp"
+    path.write_text("a :- not b. b :- not a.\n")
+    code = run(["count", str(path), "--cache-limit-mb", "0", "--stats", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    doc = json.loads(captured.err.splitlines()[0])
+    assert set(doc) == REPORT_KEYS
+    assert doc["answer_count"] == "exceeded"
+    assert doc["cache_lookups"] == 1 and doc["cache_entries"] == 0

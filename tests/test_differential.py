@@ -479,20 +479,19 @@ def test_decompose_partitions_parent(program, picks, phase):
 
 @settings(max_examples=40, deadline=None)
 @given(block_programs(), st.lists(st.integers(0, 99), max_size=12), st.booleans())
-def test_decompose_scores_match_recount(program, picks, phase):
+def test_decide_picks_highest_recount(program, picks, phase):
     eng = _engine_at_fixpoint(program, picks, phase)
     if eng is None:
         return
     for _, _, comps in _splits(eng):
         for c in comps:
-            recount = {v: 0 for v in c.vars}
-            for ci in _full_clauses(eng, c):
+            # literals of each free non-copy variable in the listed clauses
+            free = [v for v in c.vars if v < eng.first_copy]
+            recount = dict.fromkeys(free, 0)
+            for ci in c.clause_idxs:
                 for l in eng.canon[ci]:
                     if abs(l) - 1 in recount:
                         recount[abs(l) - 1] += 1
-            assert {v: eng._score[v] for v in c.vars} == recount
-            # and decide picks a non-copy variable of the highest score
-            free = [v for v in c.vars if v < eng.first_copy]
             v = eng.decide(c)
             if free:
                 assert v in free and recount[v] == max(recount[u] for u in free)

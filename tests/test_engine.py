@@ -134,6 +134,26 @@ def test_decide_none_on_empty_component():
     assert eng.decide(Component((), ())) is None
 
 
+def test_decide_reads_only_its_component_and_the_assignment():
+    # a deeper decompose under +-y and its backtrack leave A's pick as it was
+    eng = Engine(build_pair(gen_reachability(random_graph(12, 28, seed=1), 0, 11)))
+    assert eng._apply_initial()
+    comps = eng.decompose(range(eng.n_vars))
+    a = max(comps, key=lambda c: len(c.vars))
+    for y in a.vars:
+        if y >= eng.first_copy:
+            break
+        for lit in (y + 1, -(y + 1)):
+            eng.decompose(range(eng.n_vars))
+            want = eng.decide(a)
+            mark = len(eng.trail)
+            eng.assign(lit)
+            if eng.propagate() is None:
+                eng.decompose(a.vars)
+            eng.backtrack(mark)
+            assert eng.decide(a) == want
+
+
 def test_decide_starts_path_in_its_middle_third():
     program = parse_program(path_text(301))
     pair = build_pair(program)
@@ -467,14 +487,14 @@ def test_search_depth_leaves_recursion_limit_alone():
 # cache bytes, path) per family and call. A change meant to keep the search
 # as it is keeps these; one that moves them on purpose updates them here.
 COUNTER_PINS = [
-    ("path", "count", (267914296, 108, 93, 138, 54, 84, 7128, "")),
-    ("path", "hybrid", (267914296, 200121, 61909, 138, 54, 84, 7128, "counting")),
+    ("path", "count", (267914296, 108, 87, 138, 60, 78, 6696, "")),
+    ("path", "hybrid", (267914296, 200121, 61903, 138, 60, 78, 6696, "counting")),
     ("path", "enumerate_up_to(7)", (None, 32, 22, 0, 0, 0, 0, "")),
-    ("reach", "count", (320, 214, 543, 186, 52, 134, 22134, "")),
+    ("reach", "count", (320, 176, 532, 158, 43, 115, 17961, "")),
     ("reach", "hybrid", (320, 1054, 2863, 0, 0, 0, 0, "enumeration")),
     ("reach", "enumerate_up_to(7)", (None, 21, 93, 0, 0, 0, 0, "")),
-    ("reach", "count, use_cache=False", (320, 298, 785, 0, 0, 0, 0, "")),
-    ("ham", "count", (48, 358, 3017, 311, 90, 221, 51120, "")),
+    ("reach", "count, use_cache=False", (320, 220, 655, 0, 0, 0, 0, "")),
+    ("ham", "count", (48, 330, 2314, 294, 87, 207, 42820, "")),
     ("ham", "hybrid", (48, 366, 2455, 0, 0, 0, 0, "enumeration")),
     ("ham", "enumerate_up_to(7)", (None, 78, 535, 0, 0, 0, 0, "")),
 ]
@@ -590,6 +610,17 @@ def test_cache_entry_cap():
     pair = build_pair(parse_program(EXAMPLE1))
     with pytest.raises(ResourceLimitError):
         Engine(pair, cache_limit_bytes=8).count()
+
+
+def test_oversized_cache_entry_raises_before_evicting():
+    # the cap holds one path(12) entry at a time, until an entry that alone
+    # exceeds it: that one raises and leaves the cache as it was
+    eng = Engine(_pair(path_text(12)), cache_limit_bytes=100)
+    with pytest.raises(ResourceLimitError) as err:
+        eng.count()
+    stats = err.value.stats
+    assert stats.cache_entries == len(eng._cache) == 1
+    assert 0 < stats.peak_cache_bytes <= 100
 
 
 def test_cache_eviction_keeps_counts_exact():
