@@ -18,11 +18,12 @@ more literals. A binary clause is implied by the variables, as in sharpSAT
 (Thurley, SAT 2006): at a conflict-free fixpoint it is unsatisfied exactly
 when both its variables are unassigned. `decompose` finds components by
 walking, from each reached variable, its binary neighbours and the
-occurrence lists of its listed clauses. The cache key is that pair, and it
-is exact: equal variable sets hold the same unsatisfied binary clauses, and
-a listed clause in the key is unsatisfied with all its assigned literals
-false, so its residual is its canonical literals restricted to the
-component's variables.
+occurrence lists of its listed clauses. A component is its own cache key,
+and it is exact: equal variable sets hold the same unsatisfied binary
+clauses, and a listed clause in the key is unsatisfied with all its assigned
+literals false, so its residual is its canonical literals restricted to the
+component's variables. The cache cap charges an entry 8 bytes per variable
+and clause id (a tuple slot) plus a fixed overhead (see `entry_bytes`).
 
 The assignment is one array indexed by literal, as in MiniSat (Een &
 Sorensson, SAT 2003): `lit_value[lit + n_vars]` is 1 (true), 0 (false) or
@@ -81,7 +82,6 @@ one end; remaining ties go to the smallest index, or to the seeded rng.
 from __future__ import annotations
 
 import time
-from array import array
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -114,14 +114,16 @@ class RunStats:
 
 
 class Component(NamedTuple):
+    """Its own exact cache key (see the module docstring and `entry_bytes`)."""
     vars: tuple[int, ...]  # sorted, all unassigned at creation
     clause_idxs: tuple[int, ...]  # its unsatisfied listed clauses, ascending
 
 
-def cache_key_bytes(variables, clause_idxs) -> bytes:
-    """Exact component key: the variable count, the sorted variable ids,
-    then the ascending listed clause ids (see the module docstring for why)."""
-    return array("i", (len(variables), *variables, *clause_idxs)).tobytes()
+def entry_bytes(comp: Component, val: int) -> int:
+    """Cache cap charge for comp -> val: 8 bytes per variable and clause id, and
+    200 (fit with `tracemalloc`) for the Component, its tuple headers, the
+    OrderedDict entry and the value."""
+    return 8 * (len(comp.vars) + len(comp.clause_idxs)) + 200 + (val.bit_length() >> 3)
 
 
 class Engine:
@@ -195,7 +197,7 @@ class Engine:
         self.lit_value = [-1] * (2 * self.n_vars + 1)
         self.trail: list[int] = []
         self.qhead = 0
-        self._cache: OrderedDict[bytes, int] = OrderedDict()
+        self._cache: OrderedDict[Component, int] = OrderedDict()
         self._cache_bytes = 0
 
     def assign(self, lit: int) -> bool:
@@ -517,21 +519,20 @@ class Engine:
         if self._deadline is not None and time.perf_counter() >= self._deadline:
             raise ResourceLimitError("time budget exhausted", self._finalize())
 
-    def _store(self, key: bytes, val: int):
+    def _store(self, comp: Component, val: int):
         """Caches one component value, evicting least recently used entries
-        to stay under the byte cap; an entry larger than the cap alone
-        raises before anything is evicted."""
+        to stay under the byte cap (see `entry_bytes`); an entry larger than
+        the cap alone raises before anything is evicted."""
         cache = self._cache
-        size = len(key) + 64 + (val.bit_length() >> 3)
+        size = entry_bytes(comp, val)
         if size > self.cache_limit_bytes:
             raise ResourceLimitError(
                 "one cache entry exceeds the cache byte cap", self._finalize()
             )
         while self._cache_bytes + size > self.cache_limit_bytes:
-            old_key, old_val = cache.popitem(last=False)
-            self._cache_bytes -= len(old_key) + 64 + (old_val.bit_length() >> 3)
+            self._cache_bytes -= entry_bytes(*cache.popitem(last=False))
             self.stats.cache_evictions += 1
-        cache[key] = val
+        cache[comp] = val
         self._cache_bytes += size
         if self._cache_bytes > self.stats.peak_cache_bytes:
             self.stats.peak_cache_bytes = self._cache_bytes
@@ -549,12 +550,12 @@ class Engine:
         its copies (see the module docstring), and the search returns None
         as soon as more than `limit` leaves are answers.
 
-        A frame holds its component (None for the root frame) and cache
-        key, trail mark, sum over its finished branches, and its open
-        branch's components, next index and running product. Its branch
-        literal is `trail[mark]`: the first branch is the branch variable's
-        positive literal and the second its negation, so the frame is done
-        when a branch with a negative literal there ends."""
+        A frame holds its component (None for the root frame), trail mark,
+        sum over its finished branches, and its open branch's components,
+        next index and running product. Its branch literal is `trail[mark]`:
+        the first branch is the branch variable's positive literal and the
+        second its negation, so the frame is done when a branch with a
+        negative literal there ends."""
         counting = limit is None
         caching = counting and self.use_cache
         value = self.lit_value
@@ -564,7 +565,6 @@ class Engine:
         stats = self.stats
         first_copy = self.first_copy
         cache = self._cache
-        key_of = cache_key_bytes  # read per call, so a patched name is used
         decompose = self.decompose
         decide = self.decide
         propagate = self.propagate
@@ -573,7 +573,7 @@ class Engine:
         store = self._store
         found = 0
         stack = []  # the frames below the top one
-        comp = key = sub_key = None
+        comp = None
         total = 0
         mark = len(trail)
         subs, i, prod = roots, 0, 1
@@ -582,12 +582,11 @@ class Engine:
                 sub = subs[i]
                 i += 1
                 if caching:
-                    sub_key = key_of(sub.vars, sub.clause_idxs)
                     stats.cache_lookups += 1
-                    got = cache.get(sub_key)
+                    got = cache.get(sub)
                     if got is not None:
                         stats.cache_hits += 1
-                        cache.move_to_end(sub_key)
+                        cache.move_to_end(sub)
                         prod *= got
                         continue
                 check_deadline()
@@ -621,11 +620,11 @@ class Engine:
                         continue
                 if v is None:
                     if caching:
-                        store(sub_key, val)
+                        store(sub, val)
                     prod *= val
                     continue
-                stack.append((comp, key, mark, total, subs, i, prod))
-                comp, key, total = sub, sub_key, 0
+                stack.append((comp, mark, total, subs, i, prod))
+                comp, total = sub, 0
                 mark = len(trail)
                 lit = v + 1
             elif comp is None:
@@ -636,9 +635,9 @@ class Engine:
                 backtrack(mark)
                 if lit > 0:
                     if caching:
-                        store(key, total)
+                        store(comp, total)
                     val = total
-                    comp, key, mark, total, subs, i, prod = stack.pop()
+                    comp, mark, total, subs, i, prod = stack.pop()
                     prod *= val
                     continue
             # set the branch literal, propagate, then open the branch

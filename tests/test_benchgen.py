@@ -79,6 +79,8 @@ def test_parse_graph_malformed():
         parse_graph("nope")
     with pytest.raises(ValueError):
         parse_graph("2 2\n0 1\n")
+    with pytest.raises(ValueError, match="empty graph file"):
+        parse_graph("")
 
 
 def test_parse_graph_out_of_range():
@@ -94,6 +96,12 @@ def test_render_graph_round_trip():
 def test_random_graph_deterministic():
     assert random_graph(6, 10, seed=1) == random_graph(6, 10, seed=1)
     assert random_graph(6, 10, seed=1) != random_graph(6, 10, seed=2)
+
+
+def test_random_graph_more_edges_than_pairs_rejected():
+    assert len(random_graph(3, 6, seed=0).edges) == 6
+    with pytest.raises(ValueError, match="more edges requested"):
+        random_graph(3, 7, seed=0)
 
 
 # -- Hamiltonian cycles ------------------------------------------------------------

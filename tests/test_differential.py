@@ -8,6 +8,7 @@ per class of equivalent literals) is checked against the oracle."""
 
 import math
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,6 @@ from aspcount import engine as engine_module
 from aspcount.analysis import derivable_atoms
 from aspcount.benchgen import Graph
 from aspcount.encode import Cnf, PairFormula, VarTable
-from aspcount.engine import cache_key_bytes
 from aspcount.program import Constraint, Program, Rule, SymbolTable
 
 from helpers import graph_reach_count, path_text
@@ -131,21 +131,30 @@ def _residual(eng, variables):
 @settings(max_examples=40, deadline=None)
 @given(block_programs())
 def test_cache_key_determines_residual(program):
+    # the component is the cache key: every lookup is recorded by a cache
+    # class patched in for the one `reset` builds each run's cache from
     pair = build_pair(program)
     eng = Engine(pair)
     residual_of = {}
+    lookups = 0
 
-    def recording_key(variables, clause_idxs):
-        key = cache_key_bytes(variables, clause_idxs)
-        residual = _residual(eng, variables)
-        assert residual_of.setdefault(key, residual) == residual
-        return key
+    class RecordingCache(OrderedDict):
+        def get(self, comp, default=None):
+            nonlocal lookups
+            lookups += 1
+            residual = _residual(eng, comp.vars)
+            assert residual_of.setdefault(comp, residual) == residual
+            return super().get(comp, default)
 
-    engine_module.cache_key_bytes = recording_key  # _search reads it per call
+    engine_module.OrderedDict = RecordingCache
     try:
-        n = eng.count()[0]
+        n, stats = eng.count()
     finally:
-        engine_module.cache_key_bytes = cache_key_bytes
+        engine_module.OrderedDict = OrderedDict
+    # every lookup was recorded, and a count above 1 needs a free variable
+    # after level-0 propagation, so some component was looked up
+    assert lookups == stats.cache_lookups
+    assert lookups > 0 or n <= 1
     assert Engine(pair, use_cache=False).count()[0] == n
 
 

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -17,6 +19,7 @@ from aspcount import (
     random_graph,
 )
 from aspcount.encode import Cnf, pos_lit
+from aspcount.engine import Component, entry_bytes
 
 from helpers import EXAMPLE1, disjoint_union, id_of, path_text, random_program, residual
 
@@ -487,14 +490,14 @@ def test_search_depth_leaves_recursion_limit_alone():
 # cache bytes, path) per family and call. A change meant to keep the search
 # as it is keeps these; one that moves them on purpose updates them here.
 COUNTER_PINS = [
-    ("path", "count", (267914296, 108, 87, 138, 60, 78, 6696, "")),
-    ("path", "hybrid", (267914296, 200121, 61903, 138, 60, 78, 6696, "counting")),
+    ("path", "count", (267914296, 108, 87, 138, 60, 78, 18376, "")),
+    ("path", "hybrid", (267914296, 200121, 61903, 138, 60, 78, 18376, "counting")),
     ("path", "enumerate_up_to(7)", (None, 32, 22, 0, 0, 0, 0, "")),
-    ("reach", "count", (320, 176, 532, 158, 43, 115, 17961, "")),
+    ("reach", "count", (320, 176, 532, 158, 43, 115, 43277, "")),
     ("reach", "hybrid", (320, 1054, 2863, 0, 0, 0, 0, "enumeration")),
     ("reach", "enumerate_up_to(7)", (None, 21, 93, 0, 0, 0, 0, "")),
     ("reach", "count, use_cache=False", (320, 220, 655, 0, 0, 0, 0, "")),
-    ("ham", "count", (48, 330, 2314, 294, 87, 207, 42820, "")),
+    ("ham", "count", (48, 330, 2314, 294, 87, 207, 98888, "")),
     ("ham", "hybrid", (48, 366, 2455, 0, 0, 0, 0, "enumeration")),
     ("ham", "enumerate_up_to(7)", (None, 78, 535, 0, 0, 0, 0, "")),
 ]
@@ -613,25 +616,56 @@ def test_cache_entry_cap():
 
 
 def test_oversized_cache_entry_raises_before_evicting():
-    # the cap holds one path(12) entry at a time, until an entry that alone
-    # exceeds it: that one raises and leaves the cache as it was
-    eng = Engine(_pair(path_text(12)), cache_limit_bytes=100)
+    # the cap is one byte short of path(12)'s root entry, its 12 variables
+    # worth Fibonacci(14), and any two entries exceed it: it holds one entry
+    # at a time until the root, which raises and leaves the cache as it was
+    cap = entry_bytes(Component(tuple(range(12)), ()), 377) - 1
+    assert 2 * entry_bytes(Component((0,), ()), 0) > cap
+    eng = Engine(_pair(path_text(12)), cache_limit_bytes=cap)
     with pytest.raises(ResourceLimitError) as err:
         eng.count()
     stats = err.value.stats
     assert stats.cache_entries == len(eng._cache) == 1
-    assert 0 < stats.peak_cache_bytes <= 100
+    assert 0 < stats.peak_cache_bytes <= cap
 
 
 def test_cache_eviction_keeps_counts_exact():
     pair = build_pair(gen_choice_chain(10))
-    n, stats = Engine(pair, cache_limit_bytes=600).count()
+    cap = 8 * entry_bytes(Component((0,), ()), 2)
+    n, stats = Engine(pair, cache_limit_bytes=cap).count()
     assert n == 1 << 10
-    assert stats.peak_cache_bytes <= 600
+    assert stats.peak_cache_bytes <= cap
     # each of the 10 free singletons is stored once, and the cap holds 8
     assert stats.cache_evictions == 2
     assert stats.cache_entries + stats.cache_evictions == 10
     assert Engine(pair).count()[1].cache_evictions == 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: parse_program(path_text(400)),  # no listed clause
+        lambda: gen_hamiltonian(random_graph(10, 45, seed=3)),  # listed clauses
+    ],
+    ids=["path(400)", "ham10"],
+)
+def test_cache_cap_counts_what_an_entry_holds(make):
+    # the real bytes are the traced memory that clearing the cache frees; a
+    # full collection first empties CPython's free lists, which would keep
+    # the freed tuples traced
+    eng = Engine(build_pair(make()))
+    tracemalloc.start()
+    try:
+        eng.count()
+        assert len(eng._cache) >= 200
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        eng._cache.clear()
+        gc.collect()
+        real = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0.8 <= eng._cache_bytes / real <= 1.25
 
 
 def test_stats_zero_decisions_when_level0_solves():

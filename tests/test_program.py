@@ -64,6 +64,14 @@ def test_validate_duplicate_rule():
     assert any(w.startswith("duplicate-rule") for w in validate(p))
 
 
+def test_validate_duplicate_constraint():
+    t = SymbolTable()
+    a, b = t.intern("a"), t.intern("b")
+    c = Constraint(frozenset({a}), frozenset({b}))
+    p = Program(t, [Rule(a, frozenset(), frozenset({b}))], [c, c])
+    assert any(w.startswith("duplicate-constraint:") for w in validate(p))
+
+
 def test_duplicate_rules_do_not_change_count():
     t = SymbolTable()
     a, b = t.intern("a"), t.intern("b")
