@@ -2,11 +2,11 @@
 
 Search skeleton: decide an unassigned non-copy variable, propagate each
 branch to fixpoint, split the parent component's unsatisfied clauses into
-variable-disjoint components, count each component through an exact-key
-LRU cache, multiply, and sum the branches. The search is one loop over an
-explicit stack of frames, one per component being branched on, so its depth
-never meets Python's recursion limit; a frame's branch literal is the trail
-literal at its mark, so it stores none. Enumeration is the same loop over one
+variable-disjoint components, count each non-trivial one through an
+exact-key LRU cache, multiply, and sum the branches. The search is one loop
+over an explicit stack of frames, one per component being branched on, so
+its depth never meets Python's recursion limit; a frame's branch literal is
+the trail literal at its mark, so it stores none. Enumeration is the same loop over one
 component, every non-copy variable, with no cache and no decomposition; one
 scan for the lowest unassigned variable both picks the branch variable and
 values the leaf (see below), and the search stops once more than `limit`
@@ -40,11 +40,13 @@ needed it true.
 Copy variables, the block from `first_copy` up (see `encode.VarTable`),
 are propagated but never decided and never enumerated. A component's
 variables are sorted, so its non-copies are the prefix below `first_copy`.
-When counting, a component holds a clause exactly when it has two or more
-variables or a listed clause. With no clause it is worth a factor of 2 per
-free non-copy variable and 1 per free copy. With clauses but no non-copy
-variable left to branch on it is worth 0, because every clause of a fresh
-component is unsatisfied (a loop with no external justification).
+When counting, two kinds of component are valued before the cache, which
+so holds only components the search branched on. One variable is a free
+singleton (at a fixpoint, a clause with one unassigned variable is
+satisfied), worth 2 for a non-copy and 1 for a copy. More variables hold a
+clause; with a copy first, no non-copy is left to branch on, and the
+component is worth 0, as every clause of a fresh component is unsatisfied
+(a loop with no external justification).
 
 Enumeration reads its leaves off the copy variables. At a conflict-free
 fixpoint reached with no assumptions, a copy a' is false exactly when its
@@ -402,15 +404,14 @@ class Engine:
         self._build_tie()
         return occ
 
-    def decide(self, comp: Component) -> int | None:
+    def decide(self, comp: Component) -> int:
         """Free non-copy variable of `comp` with the most literals in the
         component's listed clauses (binary clauses do not count). Ties go to
         the lowest BFS-layer rank (see `_build_tie`), then to the smallest
         index; the seeded rng instead picks among the variables tied on both
-        score and rank. Needs the occurrence lists of a first `decompose`."""
+        score and rank. Needs the occurrence lists of a first `decompose`, and
+        a free non-copy variable in `comp`."""
         free = comp.vars[: bisect_left(comp.vars, self.first_copy)]
-        if not free:
-            return None
         score = self._score
         for v in free:
             score[v] = 0
@@ -542,13 +543,14 @@ class Engine:
         search over one explicit stack of frames, one frame per component
         being branched on; the frame on top lives in local variables.
 
-        Counting (`limit` is None) looks each component up in the cache
-        before anything else, splits each branch with `decompose` and caches
-        the sum of the two branches. Enumeration (`limit` set) is given one
-        root and no cache; the open branch's only component is the frame's
-        own, it branches on the lowest unassigned variable, values a leaf by
-        its copies (see the module docstring), and the search returns None
-        as soon as more than `limit` leaves are answers.
+        Counting (`limit` is None) values the two trivial kinds of component
+        on the spot, looks the others up in the cache, splits each branch
+        with `decompose` and caches the sum of the two branches. Enumeration
+        (`limit` set) is given one root and no cache; the open branch's only
+        component is the frame's own, it branches on the lowest unassigned
+        variable, values a leaf by its copies (see the module docstring), and
+        the search returns None as soon as more than `limit` leaves are
+        answers.
 
         A frame holds its component (None for the root frame), trail mark,
         sum over its finished branches, and its open branch's components,
@@ -581,27 +583,26 @@ class Engine:
             if prod and i < len(subs):
                 sub = subs[i]
                 i += 1
-                if caching:
-                    stats.cache_lookups += 1
-                    got = cache.get(sub)
-                    if got is not None:
-                        stats.cache_hits += 1
-                        cache.move_to_end(sub)
-                        prod *= got
-                        continue
-                check_deadline()
                 if counting:
-                    # a clause-free component is a free singleton: a non-copy
-                    # doubles the count, a copy never tells answer sets
-                    # apart; with clauses and no non-copy to branch on, the
-                    # component is worth 0 (see the module docstring)
-                    n_free = bisect_left(sub.vars, first_copy)
-                    if len(sub.vars) > 1 or sub.clause_idxs:
-                        v = decide(sub) if n_free else None
-                        val = 0
-                    else:
-                        v = None
-                        val = 1 << n_free
+                    # before the cache (see the module docstring): a free
+                    # singleton, and a component with no non-copy variable
+                    v = sub.vars[0]
+                    if len(sub.vars) == 1:
+                        if v < first_copy:
+                            prod *= 2
+                        continue
+                    if v >= first_copy:
+                        prod = 0
+                        continue
+                    if caching:
+                        stats.cache_lookups += 1
+                        got = cache.get(sub)
+                        if got is not None:
+                            stats.cache_hits += 1
+                            cache.move_to_end(sub)
+                            prod *= got
+                            continue
+                    v = decide(sub)
                 else:
                     # the lowest unassigned variable: variable v's literal
                     # v + 1 has the slot pos + v, the copies come last, and
@@ -618,11 +619,7 @@ class Engine:
                     if v >= first_copy:  # a copy left unassigned: no answer
                         prod = 0
                         continue
-                if v is None:
-                    if caching:
-                        store(sub, val)
-                    prod *= val
-                    continue
+                check_deadline()
                 stack.append((comp, mark, total, subs, i, prod))
                 comp, total = sub, 0
                 mark = len(trail)

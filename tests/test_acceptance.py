@@ -30,6 +30,7 @@ from helpers import (
     disjoint_union,
     extends_to_completion_model,
     graph_ham_count,
+    graph_reach_count,
     id_of,
     random_program,
     residual,
@@ -156,7 +157,7 @@ def test_c05_decomposition_identity():
 
 
 def test_c06_cache_transparency_and_hits():
-    with criterion(6, "cache on == cache off; hits on duplicated disjoint instance"):
+    with criterion(6, "cache on == cache off; hits where searched components recur"):
         rng = random.Random(606)
         for _ in range(1000):
             p = random_program(rng, max_atoms=6)
@@ -171,8 +172,22 @@ def test_c06_cache_transparency_and_hits():
             ":- v{0}, not z{0}a, not z{0}b.\n"
         )
         p = parse_program(gadget.format(1) + gadget.format(2))
-        n, stats = Engine(build_pair(p)).count()
-        assert n == brute_force_count(p) == 36
+        pair = build_pair(p)
+        n = Engine(pair).count()[0]
+        assert n == Engine(pair, use_cache=False).count()[0] == brute_force_count(p) == 36
+
+        # the gadget's two copies have different variables, so no component
+        # searched in one equals one of the other; the searched components
+        # of the 14-node reach instance of the CI mode cross-check recur
+        edges = (
+            "0 8, 0 10, 1 2, 1 9, 1 11, 3 1, 3 4, 3 5, 4 2, 4 13, 5 3, 6 0, 6 3, 7 1, "
+            "7 2, 7 4, 7 6, 7 10, 8 4, 8 6, 8 10, 9 2, 9 12, 10 0, 10 4, 10 9, 11 5, "
+            "11 13, 12 7, 13 1, 13 2, 13 4"
+        )
+        g = Graph(14, frozenset(tuple(map(int, e.split())) for e in edges.split(", ")))
+        pair = build_pair(gen_reachability(g, 0, 13))
+        n, stats = Engine(pair).count()
+        assert n == Engine(pair, use_cache=False).count()[0] == graph_reach_count(g, 0, 13) == 1628
         assert stats.cache_lookups > 0
         assert stats.cache_hit_pct > 0.0
 

@@ -12,7 +12,7 @@ import aspcount.cli
 from aspcount import parse_program
 from aspcount.cli import run
 
-from helpers import EXAMPLE1
+from helpers import EXAMPLE1, path_text
 
 REPORT_KEYS = {
     "schema_version",
@@ -260,8 +260,8 @@ def test_python_dash_m(example1):
 
 
 def test_hybrid_cut_in_counting_reports_both_phases(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "chain.gnp"
-    assert run(["gen", "chain", "8", "-o", str(path)]) == 0
+    path = tmp_path / "path.gnp"
+    path.write_text(path_text(8))
 
     def check(self):
         if self.stats.cache_lookups:
@@ -271,8 +271,8 @@ def test_hybrid_cut_in_counting_reports_both_phases(tmp_path, capsys, monkeypatc
     assert run(["hybrid", str(path), "--threshold", "1", "--stats", "json"]) == 2
     doc = json.loads(capsys.readouterr().err.splitlines()[0])
     assert doc["answer_count"] == "exceeded" and doc["path"] == "counting"
-    # enumeration's: 8 down to the first answer and 1 more to the second
-    assert doc["decisions"] == 9
+    # enumeration's: 4 down to the first answer and 2 more to the second
+    assert doc["decisions"] == 6
 
 
 def test_no_cache_flag(example1, capsys):
@@ -300,10 +300,17 @@ def test_budget_exhaustion_exit_code(tmp_path, capsys):
 
 
 def test_zero_cache_limit_exits_at_first_stored_component(tmp_path, capsys):
-    # the one variable of the negation pair is a free singleton, and even
-    # its value is stored, so a 0 MB cap holds nothing
+    # the one variable of the negation pair is a free singleton, valued
+    # before the cache, so a 0 MB cap is never met
     path = tmp_path / "pair.gnp"
     path.write_text("a :- not b. b :- not a.\n")
+    assert run(["count", str(path), "--cache-limit-mb", "0", "--stats", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "2\n"
+    assert json.loads(captured.err)["cache_lookups"] == 0
+    # path(2)'s two variables are one searched component, and a 0 MB cap
+    # cannot hold its entry
+    path.write_text(path_text(2))
     code = run(["count", str(path), "--cache-limit-mb", "0", "--stats", "json"])
     captured = capsys.readouterr()
     assert code == 2

@@ -9,6 +9,7 @@ per class of equivalent literals) is checked against the oracle."""
 import math
 import random
 from collections import OrderedDict
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -42,10 +43,13 @@ def block_programs(draw):
     choice) with perhaps a constraint that rules out one of its sides, a
     positive cycle, and random rules whose heads are the block's other atoms, whose
     positive bodies may reach into the other block of its pair (blocks 2j
-    and 2j+1), and whose negative bodies name only choice atoms. So each
-    surviving set of choices has exactly one answer set, components stay
-    small enough to count with the cache off, and the search still
-    decomposes, hits the cache and meets loop atoms."""
+    and 2j+1), and whose negative bodies name only choice atoms. Three of
+    the choices with no such constraint, where there are three, may not
+    all take the same side, so that two components with equal variables
+    and different listed clauses meet the cache. So each surviving set of
+    choices has exactly one answer set, components stay small enough to
+    count with the cache off, and the search still decomposes, hits the
+    cache and meets loop atoms."""
     n = draw(st.integers(30, 60))
     bounds = [0]
     while n - bounds[-1] >= 6:
@@ -56,7 +60,7 @@ def block_programs(draw):
     def atom_set(pool, max_size):
         return frozenset(draw(st.sets(st.sampled_from(pool), max_size=max_size)))
 
-    rules, constraints = [], []
+    rules, constraints, choices = [], [], []
     for b, atoms in enumerate(blocks):
         partner = blocks[b ^ 1] if b ^ 1 < len(blocks) else atoms
         choice = []
@@ -86,6 +90,17 @@ def block_programs(draw):
             # spares the branch where the choice atom is false
             pos = atom_set(atoms, 1) | {choice[0]}
             constraints.append(Constraint(frozenset(pos), frozenset()))
+        elif choice:
+            choices.append(choice)
+    if len(choices) >= 3:
+        # three choices that do not all take the same side: `:- x, y, z.`
+        # and `:- x', y', z'.` (x' is not x) hold no unit before two of them
+        # are set, and each side of whichever is set first leaves the other
+        # two one component over one of the two clauses: equal variables,
+        # different listed clauses
+        picked = draw(st.lists(st.sampled_from(range(len(choices))), min_size=3, max_size=3, unique=True))
+        for side in (0, 1):
+            constraints.append(Constraint(frozenset(choices[k][side] for k in picked), frozenset()))
 
     table = SymbolTable()
     for a in range(n):
@@ -128,34 +143,79 @@ def _residual(eng, variables):
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(block_programs())
-def test_cache_key_determines_residual(program):
-    # the component is the cache key: every lookup is recorded by a cache
-    # class patched in for the one `reset` builds each run's cache from
-    pair = build_pair(program)
-    eng = Engine(pair)
-    residual_of = {}
-    lookups = 0
+@contextmanager
+def _recording_cache(on_lookup=lambda comp: None):
+    """Patches in the cache class that `reset` builds each run's cache
+    from, one that records every component looked up and every component
+    stored; yields the two lists, and calls `on_lookup` at each lookup."""
+    looked, stored = [], []
 
     class RecordingCache(OrderedDict):
         def get(self, comp, default=None):
-            nonlocal lookups
-            lookups += 1
-            residual = _residual(eng, comp.vars)
-            assert residual_of.setdefault(comp, residual) == residual
+            looked.append(comp)
+            on_lookup(comp)
             return super().get(comp, default)
+
+        def __setitem__(self, comp, val):
+            stored.append(comp)
+            super().__setitem__(comp, val)
 
     engine_module.OrderedDict = RecordingCache
     try:
-        n, stats = eng.count()
+        yield looked, stored
     finally:
         engine_module.OrderedDict = OrderedDict
-    # every lookup was recorded, and a count above 1 needs a free variable
-    # after level-0 propagation, so some component was looked up
-    assert lookups == stats.cache_lookups
-    assert lookups > 0 or n <= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_programs())
+def test_cache_key_determines_residual(program):
+    # the component is the cache key
+    pair = build_pair(program)
+    eng = Engine(pair)
+    residual_of = {}
+
+    def check(comp):
+        residual = _residual(eng, comp.vars)
+        assert residual_of.setdefault(comp, residual) == residual
+
+    with _recording_cache(check) as (looked, _):
+        n, stats = eng.count()
+    # every lookup was recorded, and a search that branches looks up first
+    assert len(looked) == stats.cache_lookups
+    assert looked or stats.decisions == 0
     assert Engine(pair, use_cache=False).count()[0] == n
+
+
+def _assert_cache_holds_only_searched(pair):
+    """Counts `pair`, checking that no component looked up or stored is a
+    free singleton or has a copy as its first variable: both are valued
+    before the cache."""
+    with _recording_cache() as (looked, stored):
+        stats = Engine(pair).count()[1]
+    assert (len(looked), len(stored)) == (stats.cache_lookups, stats.cache_entries)
+    for comp in looked + stored:
+        assert len(comp.vars) > 1 and comp.vars[0] < pair.vars.first_copy
+    return stats
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: parse_program(path_text(40)),
+        lambda: gen_reachability(random_graph(12, 28, seed=1), 0, 11),
+        lambda: gen_hamiltonian(random_graph(9, 36, seed=1)),
+    ],
+    ids=["path", "reach", "ham"],
+)
+def test_cache_holds_only_searched_components(make):
+    assert _assert_cache_holds_only_searched(build_pair(make())).cache_hits > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_programs())
+def test_cache_holds_only_searched_components_on_block_programs(program):
+    _assert_cache_holds_only_searched(build_pair(program))
 
 
 @st.composite
@@ -465,12 +525,14 @@ def _splits(eng):
     component with the most clauses."""
     comps = eng.decompose(range(eng.n_vars))
     yield range(eng.n_vars), range(len(eng.canon)), comps
-    parent = max(comps, key=lambda c: len(_full_clauses(eng, c)), default=None)
+    parent = max(
+        (c for c in comps if c.vars[0] < eng.first_copy),  # decide needs a non-copy
+        key=lambda c: len(_full_clauses(eng, c)),
+        default=None,
+    )
     if parent is None or not _full_clauses(eng, parent):
         return
     v = eng.decide(parent)
-    if v is None:
-        return
     eng.assign(v + 1)
     if eng.propagate() is None:
         yield parent.vars, _full_clauses(eng, parent), eng.decompose(parent.vars)
@@ -493,7 +555,8 @@ def test_decide_picks_highest_recount(program, picks, phase):
     if eng is None:
         return
     for _, _, comps in _splits(eng):
-        for c in comps:
+        # decide is handed only components with a free non-copy variable
+        for c in (c for c in comps if c.vars[0] < eng.first_copy):
             # literals of each free non-copy variable in the listed clauses
             free = [v for v in c.vars if v < eng.first_copy]
             recount = dict.fromkeys(free, 0)
@@ -502,10 +565,7 @@ def test_decide_picks_highest_recount(program, picks, phase):
                     if abs(l) - 1 in recount:
                         recount[abs(l) - 1] += 1
             v = eng.decide(c)
-            if free:
-                assert v in free and recount[v] == max(recount[u] for u in free)
-            else:
-                assert v is None
+            assert v in free and recount[v] == max(recount[u] for u in free)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -107,17 +107,6 @@ def test_decide_skips_copy_vars():
     assert v is not None and v not in pair.copy_vars
 
 
-def test_decide_none_on_copy_only_component():
-    from aspcount.engine import Component
-
-    p = parse_program(EXAMPLE1)
-    pair = build_pair(p)
-    eng = Engine(pair)
-    cp = sorted(pair.copy_vars)
-    copy_clauses = tuple(range(len(pair.completion), len(eng.canon)))
-    assert eng.decide(Component(tuple(cp), copy_clauses)) is None
-
-
 def test_clause_free_component_doubles_per_free_non_copy():
     from aspcount.engine import Component
 
@@ -128,13 +117,6 @@ def test_clause_free_component_doubles_per_free_non_copy():
     # copy adds no factor
     free = (0, 1, pair.vars.first_copy)
     assert eng._search([Component((v,), ()) for v in free]) == 4
-
-
-def test_decide_none_on_empty_component():
-    from aspcount.engine import Component
-
-    eng = Engine(_pair("a."))
-    assert eng.decide(Component((), ())) is None
 
 
 def test_decide_reads_only_its_component_and_the_assignment():
@@ -325,8 +307,14 @@ def test_cache_hits_on_duplicated_disjoint_gadget():
         ":- v{0}, not z{0}a, not z{0}b.\n"
     )
     p = parse_program(gadget.format(1) + gadget.format(2))
-    n, stats = Engine(build_pair(p)).count()
-    assert n == brute_force_count(p) == 36
+    pair = build_pair(p)
+    n = Engine(pair).count()[0]
+    assert n == Engine(pair, use_cache=False).count()[0] == brute_force_count(p) == 36
+    # the two copies have different variables, so no component searched in
+    # one equals one of the other; path(12)'s searched components recur
+    pair = _pair(path_text(12))
+    n, stats = Engine(pair).count()
+    assert n == Engine(pair, use_cache=False).count()[0] == 377
     assert stats.cache_hits > 0
     assert stats.cache_hits <= stats.cache_lookups
 
@@ -490,14 +478,14 @@ def test_search_depth_leaves_recursion_limit_alone():
 # cache bytes, path) per family and call. A change meant to keep the search
 # as it is keeps these; one that moves them on purpose updates them here.
 COUNTER_PINS = [
-    ("path", "count", (267914296, 108, 87, 138, 60, 78, 18376, "")),
-    ("path", "hybrid", (267914296, 200121, 61903, 138, 60, 78, 18376, "counting")),
+    ("path", "count", (267914296, 108, 87, 85, 31, 54, 13384, "")),
+    ("path", "hybrid", (267914296, 200121, 61903, 85, 31, 54, 13384, "counting")),
     ("path", "enumerate_up_to(7)", (None, 32, 22, 0, 0, 0, 0, "")),
-    ("reach", "count", (320, 176, 532, 158, 43, 115, 43277, "")),
+    ("reach", "count", (320, 176, 532, 108, 20, 88, 35853, "")),
     ("reach", "hybrid", (320, 1054, 2863, 0, 0, 0, 0, "enumeration")),
     ("reach", "enumerate_up_to(7)", (None, 21, 93, 0, 0, 0, 0, "")),
     ("reach", "count, use_cache=False", (320, 220, 655, 0, 0, 0, 0, "")),
-    ("ham", "count", (48, 330, 2314, 294, 87, 207, 98888, "")),
+    ("ham", "count", (48, 330, 2314, 176, 11, 165, 87736, "")),
     ("ham", "hybrid", (48, 366, 2455, 0, 0, 0, 0, "enumeration")),
     ("ham", "enumerate_up_to(7)", (None, 78, 535, 0, 0, 0, 0, "")),
 ]
@@ -557,7 +545,7 @@ def test_budget_runs_from_each_call():
 
 
 def test_hybrid_shares_one_deadline(monkeypatch):
-    eng = Engine(build_pair(gen_choice_chain(4)), budget=60.0)
+    eng = Engine(_pair(path_text(8)), budget=60.0)
     seen = []
     real_check = Engine._check_deadline
 
@@ -567,7 +555,7 @@ def test_hybrid_shares_one_deadline(monkeypatch):
 
     monkeypatch.setattr(Engine, "_check_deadline", spy)
     n, stats = eng.hybrid(threshold=2)
-    assert (n, stats.path) == (16, "counting")
+    assert (n, stats.path) == (55, "counting")
     assert stats.cache_lookups > 0 and len(set(seen)) == 1
 
 
@@ -630,14 +618,15 @@ def test_oversized_cache_entry_raises_before_evicting():
 
 
 def test_cache_eviction_keeps_counts_exact():
-    pair = build_pair(gen_choice_chain(10))
-    cap = 8 * entry_bytes(Component((0,), ()), 2)
-    n, stats = Engine(pair, cache_limit_bytes=cap).count()
-    assert n == 1 << 10
+    # the cap holds four entries the size of path(20)'s root, its 20
+    # variables worth Fibonacci(22); uncapped, the search stores 22 entries
+    pair = _pair(path_text(20))
+    cap = 4 * entry_bytes(Component(tuple(range(20)), ()), 17711)
+    eng = Engine(pair, cache_limit_bytes=cap)
+    n, stats = eng.count()
+    assert n == 17711
     assert stats.peak_cache_bytes <= cap
-    # each of the 10 free singletons is stored once, and the cap holds 8
-    assert stats.cache_evictions == 2
-    assert stats.cache_entries + stats.cache_evictions == 10
+    assert stats.cache_evictions > 0 and stats.cache_entries == len(eng._cache)
     assert Engine(pair).count()[1].cache_evictions == 0
 
 
@@ -651,9 +640,11 @@ def test_cache_eviction_keeps_counts_exact():
 )
 def test_cache_cap_counts_what_an_entry_holds(make):
     # the real bytes are the traced memory that clearing the cache frees; a
-    # full collection first empties CPython's free lists, which would keep
-    # the freed tuples traced
+    # full collection empties CPython's free lists, both before tracing, so
+    # that no entry reuses a block allocated untraced, and before measuring,
+    # as the free lists would keep the freed tuples traced
     eng = Engine(build_pair(make()))
+    gc.collect()
     tracemalloc.start()
     try:
         eng.count()
