@@ -63,7 +63,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--stats", choices=["json", "none"], default="none")
     common.add_argument("--no-cache", action="store_true")
     common.add_argument("--cache-limit-mb", type=_non_negative_int, default=1024)
-    common.add_argument("--seed", type=int, default=None)
 
     parser = _Parser(prog="aspcount", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -154,7 +153,6 @@ def _engine(args, pair) -> Engine:
         pair,
         use_cache=not args.no_cache,
         cache_limit_bytes=args.cache_limit_mb << 20,
-        seed=args.seed,
         budget=getattr(args, "budget", None),
     )
 

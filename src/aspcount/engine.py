@@ -3,14 +3,12 @@
 Search skeleton: decide an unassigned non-copy variable, propagate each
 branch to fixpoint, split the parent component's unsatisfied clauses into
 variable-disjoint components, count each non-trivial one through an
-exact-key LRU cache, multiply, and sum the branches. The search is one loop
-over an explicit stack of frames, one per component being branched on, so
-its depth never meets Python's recursion limit; a frame's branch literal is
-the trail literal at its mark, so it stores none. Enumeration is the same loop over one
-component, every non-copy variable, with no cache and no decomposition; one
-scan for the lowest unassigned variable both picks the branch variable and
-values the leaf (see below), and the search stops once more than `limit`
-leaves are answers.
+exact-key LRU cache, multiply, and sum the branches. Counting is one loop
+over an explicit stack of frames (`_search`), so its depth never meets
+Python's recursion limit. Enumeration is a loop of its own (`_enumerate`)
+over the non-copy variables in index order, with no component, cache or
+decomposition; one scan for the lowest unassigned variable both picks the
+branch variable and values the leaf (see below).
 
 A component is (vars, listed clause ids): its sorted unassigned variables
 and the ascending ids of its unsatisfied listed clauses, those of three or
@@ -64,7 +62,7 @@ So at a leaf, every non-copy variable assigned, an unassigned copy x' has
 L[x] true, hence some body of x true, and that rule's copy clause has no
 true literal: the leaf is no answer. A leaf with every variable assigned
 satisfies every clause: it is an answer. The first unassigned variable
-from the frame's branch variable on is thus a non-copy to branch on, a
+from the last branch variable on is thus a non-copy to branch on, a
 copy (the leaf is worth 0) or none (the leaf is an answer). Count mode
 takes copy-literal assumptions, under which (i) need not hold, and keeps
 its own base cases.
@@ -78,7 +76,7 @@ graph on BFS layers (George & Liu, 1978; built with the occurrence lists
 on the first `decompose`), after sharpSAT-TD's separators-first branching
 (Korhonen & Jarvisalo, CP 2021), so a chain numbered along its length is
 split in its middle, and each half in its middle, rather than peeled from
-one end; remaining ties go to the smallest index, or to the seeded rng.
+one end; remaining ties go to the smallest index.
 """
 
 from __future__ import annotations
@@ -137,7 +135,6 @@ class Engine:
         *,
         use_cache: bool = True,
         cache_limit_bytes: int = DEFAULT_CACHE_LIMIT,
-        seed: int | None = None,
         budget: float | None = None,
     ):
         self.n_vars = n = pair.n_vars
@@ -167,11 +164,6 @@ class Engine:
 
         self.use_cache = use_cache
         self.cache_limit_bytes = cache_limit_bytes
-        self.rng = None
-        if seed is not None:
-            import random
-
-            self.rng = random.Random(seed)
         self.budget = budget
         self._deadline: float | None = None
         # decompose's binary neighbour lists, occurrence lists, literal pairs
@@ -408,9 +400,8 @@ class Engine:
         """Free non-copy variable of `comp` with the most literals in the
         component's listed clauses (binary clauses do not count). Ties go to
         the lowest BFS-layer rank (see `_build_tie`), then to the smallest
-        index; the seeded rng instead picks among the variables tied on both
-        score and rank. Needs the occurrence lists of a first `decompose`, and
-        a free non-copy variable in `comp`."""
+        index. Needs the occurrence lists of a first `decompose`, and a free
+        non-copy variable in `comp`."""
         free = comp.vars[: bisect_left(comp.vars, self.first_copy)]
         score = self._score
         for v in free:
@@ -424,11 +415,7 @@ class Engine:
         # one int per candidate, ordered by (score, -rank, -index); the
         # variable is its key modulo first_copy, negated
         top = max([score[v] * span + tie[v] for v in free])
-        best = -top % self.first_copy
-        if self.rng is None:
-            return best
-        group = top + best
-        return self.rng.choice([v for v in free if score[v] * span + tie[v] + v == group])
+        return -top % self.first_copy
 
     def _build_tie(self):
         """Tie ranks by nested dissection on BFS layers (George & Liu, SIAM J.
@@ -498,19 +485,16 @@ class Engine:
         self.stats = RunStats(path=path)
 
     def _run(self, limit: int | None = None, assumptions=()) -> tuple[int | None, RunStats]:
-        """One search from a fresh state: counting when `limit` is None,
-        else enumeration up to `limit` answer sets (see `_search`)."""
+        """One search from a fresh state: counting (`_search`) when `limit`
+        is None, else enumeration up to `limit` answer sets (`_enumerate`)."""
         if limit is not None and limit < 1:
             raise ValueError("limit must be >= 1")
         self.reset()
         if not self._apply_initial(assumptions):
             return 0, self._finalize()
         if limit is None:
-            roots = self.decompose(range(self.n_vars))
-        else:
-            # one component: every non-copy variable (enumeration never decomposes)
-            roots = [Component(range(self.first_copy), ())]
-        return self._search(roots, limit), self._finalize()
+            return self._search(self.decompose(range(self.n_vars))), self._finalize()
+        return self._enumerate(limit), self._finalize()
 
     def _finalize(self) -> RunStats:
         self.stats.cache_entries = len(self._cache)
@@ -538,19 +522,12 @@ class Engine:
         if self._cache_bytes > self.stats.peak_cache_bytes:
             self.stats.peak_cache_bytes = self._cache_bytes
 
-    def _search(self, roots, limit: int | None = None) -> int | None:
+    def _search(self, roots) -> int:
         """Product of the values of the components `roots`, by a depth-first
-        search over one explicit stack of frames, one frame per component
-        being branched on; the frame on top lives in local variables.
-
-        Counting (`limit` is None) values the two trivial kinds of component
-        on the spot, looks the others up in the cache, splits each branch
-        with `decompose` and caches the sum of the two branches. Enumeration
-        (`limit` set) is given one root and no cache; the open branch's only
-        component is the frame's own, it branches on the lowest unassigned
-        variable, values a leaf by its copies (see the module docstring), and
-        the search returns None as soon as more than `limit` leaves are
-        answers.
+        search over one explicit stack of frames, one per component branched
+        on; the frame on top lives in local variables. Trivial components
+        are valued on the spot, the others looked up in the cache, each
+        branch split by `decompose`, and the sum of both branches cached.
 
         A frame holds its component (None for the root frame), trail mark,
         sum over its finished branches, and its open branch's components,
@@ -558,11 +535,9 @@ class Engine:
         the first branch is the branch variable's positive literal and the
         second its negation, so the frame is done when a branch with a
         negative literal there ends."""
-        counting = limit is None
-        caching = counting and self.use_cache
+        caching = self.use_cache
         value = self.lit_value
         n = self.n_vars
-        pos = n + 1  # slot of variable 0's literal 1
         trail = self.trail
         stats = self.stats
         first_copy = self.first_copy
@@ -573,7 +548,6 @@ class Engine:
         backtrack = self.backtrack
         check_deadline = self._check_deadline
         store = self._store
-        found = 0
         stack = []  # the frames below the top one
         comp = None
         total = 0
@@ -583,42 +557,25 @@ class Engine:
             if prod and i < len(subs):
                 sub = subs[i]
                 i += 1
-                if counting:
-                    # before the cache (see the module docstring): a free
-                    # singleton, and a component with no non-copy variable
-                    v = sub.vars[0]
-                    if len(sub.vars) == 1:
-                        if v < first_copy:
-                            prod *= 2
+                # before the cache (see the module docstring): a free
+                # singleton, and a component with no non-copy variable
+                v = sub.vars[0]
+                if len(sub.vars) == 1:
+                    if v < first_copy:
+                        prod *= 2
+                    continue
+                if v >= first_copy:
+                    prod = 0
+                    continue
+                if caching:
+                    stats.cache_lookups += 1
+                    got = cache.get(sub)
+                    if got is not None:
+                        stats.cache_hits += 1
+                        cache.move_to_end(sub)
+                        prod *= got
                         continue
-                    if v >= first_copy:
-                        prod = 0
-                        continue
-                    if caching:
-                        stats.cache_lookups += 1
-                        got = cache.get(sub)
-                        if got is not None:
-                            stats.cache_hits += 1
-                            cache.move_to_end(sub)
-                            prod *= got
-                            continue
-                    v = decide(sub)
-                else:
-                    # the lowest unassigned variable: variable v's literal
-                    # v + 1 has the slot pos + v, the copies come last, and
-                    # every variable up to the frame's own branch variable,
-                    # trail[mark], was assigned when the frame was opened
-                    start = abs(trail[mark]) if comp is not None else 0
-                    try:
-                        v = value.index(-1, pos + start) - pos
-                    except ValueError:  # every variable assigned: an answer
-                        found += 1
-                        if found > limit:
-                            return None
-                        continue
-                    if v >= first_copy:  # a copy left unassigned: no answer
-                        prod = 0
-                        continue
+                v = decide(sub)
                 check_deadline()
                 stack.append((comp, mark, total, subs, i, prod))
                 comp, total = sub, 0
@@ -643,12 +600,56 @@ class Engine:
             trail.append(lit)
             stats.decisions += 1
             if propagate() is None:
-                subs = decompose(comp.vars) if counting else (comp,)
+                subs = decompose(comp.vars)
                 i, prod = 0, 1
             else:
                 # the branch is worth 0; as components come only from a
                 # conflict-free fixpoint, none ever holds a falsified clause
                 subs, i, prod = (), 0, 0
+
+    def _enumerate(self, limit: int) -> int | None:
+        """Answer sets extending the current fixpoint, or None once more than
+        `limit` are found, by a depth-first search whose scan for the lowest
+        unassigned variable gives the branch variable or values the leaf
+        (see the module docstring); a conflict is a leaf worth 0. `marks`
+        holds the trail index of each open branch literal, positive first,
+        and a leaf flips the deepest one still positive."""
+        value = self.lit_value
+        n = self.n_vars
+        pos = n + 1  # variable v's literal v + 1 has the slot pos + v
+        trail = self.trail
+        first_copy = self.first_copy
+        root = len(trail)
+        marks: list[int] = []
+        found = 0
+        lit = 0  # the last branch literal; none yet, so the scan starts at 0
+        conflict = None
+        while True:
+            v = first_copy  # a leaf, unless the scan finds a non-copy
+            if conflict is None:
+                try:
+                    v = value.index(-1, pos + abs(lit)) - pos
+                except ValueError:  # every variable assigned: an answer
+                    found += 1
+                    if found > limit:
+                        return None
+            if v < first_copy:
+                self._check_deadline()
+                marks.append(len(trail))
+                lit = v + 1
+            else:
+                while marks and trail[marks[-1]] < 0:
+                    marks.pop()  # both branches done
+                if not marks:
+                    self.backtrack(root)
+                    return found
+                lit = -trail[marks[-1]]
+                self.backtrack(marks[-1])
+            value[n + lit] = 1
+            value[n - lit] = 0
+            trail.append(lit)
+            self.stats.decisions += 1
+            conflict = self.propagate()
 
     def enumerate_up_to(self, limit: int) -> tuple[int | None, RunStats]:
         """(answer-set count, stats) by depth-first enumeration over the

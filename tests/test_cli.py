@@ -225,11 +225,13 @@ def test_bad_numeric_option_is_usage_error(example1, capsys, argv):
         pytest.param(["oracle", "{file}", "--no-cache"], id="oracle-no-cache"),
         pytest.param(["analyze", "{file}", "--cache-limit-mb", "3"], id="analyze-cache-limit"),
         pytest.param(["gen", "--seed", "5", "chain", "2"], id="gen-seed"),
+        pytest.param(["count", "{file}", "--seed", "3"], id="count-seed"),
     ],
 )
 def test_run_mode_option_elsewhere_is_usage_error(example1, capsys, argv):
-    # --stats, --no-cache, --cache-limit-mb and --seed belong to count,
-    # enumerate and hybrid only
+    # --stats, --no-cache and --cache-limit-mb belong to count, enumerate
+    # and hybrid only; --seed belongs to no mode, as ties go to the
+    # smallest index
     assert run([a.format(file=example1) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -283,8 +285,8 @@ def test_no_cache_flag(example1, capsys):
     assert doc["cache_lookups"] == 0
 
 
-def test_seed_and_cache_limit_flags(example1, capsys):
-    assert run(["count", example1, "--seed", "3", "--cache-limit-mb", "4"]) == 0
+def test_cache_limit_flag(example1, capsys):
+    assert run(["count", example1, "--cache-limit-mb", "4"]) == 0
     assert capsys.readouterr().out == "2\n"
 
 

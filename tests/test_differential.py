@@ -4,7 +4,8 @@ a count and its split on one variable, propagation against a naive
 unit-resolution closure, the invariants of decompose that the exact
 cache key and decide rely on, and the key's exactness itself. Below the
 cap, the encoder's preprocessing (dropped underivable rules, one variable
-per class of equivalent literals) is checked against the oracle."""
+per class of equivalent literals) and counts under random branching are
+checked against the oracle."""
 
 import math
 import random
@@ -31,7 +32,7 @@ from aspcount.benchgen import Graph
 from aspcount.encode import Cnf, PairFormula, VarTable
 from aspcount.program import Constraint, Program, Rule, SymbolTable
 
-from helpers import graph_reach_count, path_text
+from helpers import graph_reach_count, path_text, random_program
 
 ENUM_LIMIT = 16
 
@@ -574,13 +575,36 @@ def test_complete_digraph_has_factorial_hamiltonian_cycles(n):
     assert Engine(build_pair(gen_hamiltonian(g))).count()[0] == math.factorial(n - 1)
 
 
-def test_reach_matches_graph_count_on_38_atoms():
+def _reach_38():
+    """(pair, count) of 20 reach instances of 38 atoms on 14-node digraphs."""
     rng = random.Random(1438)
-    for k in range(20):
+    for _ in range(20):
         g = random_graph(14, rng.randint(26, 36), seed=rng.randrange(10**6))
         program = gen_reachability(g, 0, 13)
         assert program.n_atoms == 38
-        pair = build_pair(program)
-        want = graph_reach_count(g, 0, 13)
+        yield build_pair(program), graph_reach_count(g, 0, 13)
+
+
+def test_reach_matches_graph_count_on_38_atoms():
+    for pair, want in _reach_38():
         assert Engine(pair).count()[0] == want
-        assert Engine(pair, seed=k).count()[0] == want
+
+
+def test_any_branching_choice_counts_exactly(monkeypatch):
+    # decide replaced by a seeded random pick among the component's free
+    # non-copy variables: the count must not depend on which variable the
+    # search branches on, not only on how decide breaks its ties
+    pick = random.Random(5)
+    monkeypatch.setattr(
+        Engine, "decide", lambda self, comp: pick.choice(
+            [v for v in comp.vars if v < self.first_copy])
+    )
+    rng = random.Random(2718)
+    for _ in range(600):
+        p = random_program(rng, max_atoms=10)
+        pair = build_pair(p)
+        want = brute_force_count(p)
+        for use_cache in (True, False):
+            assert Engine(pair, use_cache=use_cache).count()[0] == want
+    for pair, want in _reach_38():
+        assert Engine(pair).count()[0] == want

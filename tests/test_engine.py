@@ -672,11 +672,3 @@ def test_stats_fields_sane():
     assert stats.cache_hits <= stats.cache_lookups
     assert stats.bcp_time >= 0.0
     assert stats.decisions >= 1
-
-
-def test_seeded_tie_break_still_exact():
-    rng = random.Random(83)
-    for _ in range(40):
-        p = random_program(rng)
-        pair = build_pair(p)
-        assert Engine(pair, seed=7).count()[0] == Engine(pair).count()[0]
