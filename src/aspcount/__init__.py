@@ -19,7 +19,7 @@ from .benchgen import (
     parse_graph,
     random_graph,
 )
-from .encode import Cnf, PairFormula, build_pair, emit_dimacs
+from .encode import PairFormula, build_pair, emit_dimacs
 from .engine import Engine, RunStats
 from .errors import ResourceLimitError
 from .oracle import brute_force_count, gl_reduct, is_answer_set, least_model
@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomId",
-    "Cnf",
     "Constraint",
     "DepGraph",
     "Engine",

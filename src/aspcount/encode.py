@@ -71,30 +71,6 @@ class VarTable:
         return self.first_copy + len(self.copy_of_atom)
 
 
-class Cnf:
-    """Clause list in canonical form: each clause a tuple of distinct
-    literals sorted by (variable, sign), and no clause twice. `add` takes a
-    clause already in that form and drops it if it is already listed; the
-    encoders build most clauses in order and sort the others."""
-
-    def __init__(self, clauses=()):
-        self.clauses: list[tuple[int, ...]] = list(clauses)
-        self._seen = set(self.clauses)
-
-    def add(self, clause: tuple[int, ...]) -> bool:
-        if clause in self._seen:
-            return False
-        self._seen.add(clause)
-        self.clauses.append(clause)
-        return True
-
-    def __len__(self):
-        return len(self.clauses)
-
-    def __iter__(self):
-        return iter(self.clauses)
-
-
 def _clause(lits, true=frozenset(), false=frozenset()) -> tuple[int, ...] | None:
     """The literals as a canonical clause, each once and none of them in
     `false`, or None when they hold some l and -l or a literal in `true`."""
@@ -151,7 +127,7 @@ def _merge_equivalent_atoms(n_atoms: int, by_head) -> tuple[list[int], set[AtomI
     return lit, {head for head, b, sign in defs if lit[head] == sign * lit[b]}
 
 
-def clark_completion(program: Program) -> tuple[Cnf, VarTable, frozenset[int]]:
+def clark_completion(program: Program) -> tuple[list[tuple[int, ...]], VarTable, frozenset[int]]:
     """Completion clauses plus constraint clauses, over the atom map, and
     the fixed literals.
 
@@ -180,10 +156,10 @@ def clark_completion(program: Program) -> tuple[Cnf, VarTable, frozenset[int]]:
     for r in program.rules:
         by_head.setdefault(r.head, {})[r.pos_body, r.neg_body] = None
     lit, merged = _merge_equivalent_atoms(program.n_atoms, by_head)
-    cnf = Cnf()
+    clauses: dict[tuple[int, ...], None] = {}  # an ordered set
     table = VarTable(lit)
 
-    add = cnf.add
+    add = clauses.setdefault
     aux_of_body = table.aux_of_body
     get = lit.__getitem__
     heads = []
@@ -212,7 +188,7 @@ def clark_completion(program: Program) -> tuple[Cnf, VarTable, frozenset[int]]:
                 true.add(clause[0])
     false = set(map(neg, true))
     if not true.isdisjoint(false):
-        return Cnf([()]), table, frozenset(true)
+        return [()], table, frozenset(true)
     for l in sorted(true, key=abs):
         add((l,))
 
@@ -276,20 +252,19 @@ def clark_completion(program: Program) -> tuple[Cnf, VarTable, frozenset[int]]:
             if clause is None:
                 continue
         add(clause)
-    return cnf, table, frozenset(true)
+    return list(clauses), table, frozenset(true)
 
 
 def copy_operation(
     program: Program, info: LoopInfo, table: VarTable, fixed: frozenset[int]
-) -> Cnf:
+) -> list[tuple[int, ...]]:
     """Copy clauses: v' -> L[v] per loop atom v, and per rule whose head x is
     a loop atom the clause  -a1' | ... | -ak' | -L[b1] | ... | -L[bm] |
     L[c1] | ... | x'  (copies replace exactly the positive loop-atom body
     occurrences), each read without the literals `fixed` makes false, and
     none that a literal of `fixed` satisfies or that holds l and -l."""
-    cnf = Cnf()
-    if not info.loop_atoms:
-        return cnf
+    clauses: dict[tuple[int, ...], None] = {}  # an ordered set
+    add = clauses.setdefault
     lit = table.lit_of_atom
     false = set(map(neg, fixed))
     # a positive body atom reads as its copy when it is a loop atom
@@ -299,21 +274,26 @@ def copy_operation(
         body_lit[v] = pos_lit(table.copy_of_atom[v])
     for v in sorted(info.loop_atoms):
         if lit[v] not in fixed:  # a copy is above every original
-            cnf.add((-body_lit[v],) if lit[v] in false else (lit[v], -body_lit[v]))
+            add((-body_lit[v],) if lit[v] in false else (lit[v], -body_lit[v]))
     get = body_lit.__getitem__
     for r in program.rules:
         if r.head in info.loop_atoms:
             lits = [*map(neg, map(get, r.pos_body)), *map(lit.__getitem__, r.neg_body), get(r.head)]
             clause = _clause(lits, fixed, false)
             if clause is not None:
-                cnf.add(clause)
-    return cnf
+                add(clause)
+    return list(clauses)
 
 
 @dataclass
 class PairFormula:
-    completion: Cnf  # never mentions a copy variable
-    copy_clauses: Cnf  # every clause mentions at least one copy variable
+    """Two lists of canonical clauses: each clause a tuple of literals
+    strictly increasing by variable, and no clause twice in one list. The
+    encoders add clauses to a dict used as an ordered set, building most of
+    them in order and sorting the others."""
+
+    completion: list[tuple[int, ...]]  # never mentions a copy variable
+    copy_clauses: list[tuple[int, ...]]  # every clause mentions at least one copy variable
     vars: VarTable
 
     @property
@@ -361,7 +341,7 @@ def emit_dimacs(pair: PairFormula) -> str:
             out.append("c %s %s" % (name, " ".join(map(str, range(lo + 1, hi + 1)))))
     if t.lit_of_atom:
         out.append("c atoms %s" % " ".join(map(str, t.lit_of_atom)))
-    clauses = pair.completion.clauses + pair.copy_clauses.clauses
+    clauses = pair.completion + pair.copy_clauses
     out.append("p cnf %d %d" % (pair.n_vars, len(clauses)))
     for c in clauses:
         out.append(" ".join([*map(str, c), "0"]))

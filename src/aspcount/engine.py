@@ -36,18 +36,10 @@ and it reports a conflict as the literal it found false where a clause
 needed it true.
 
 Copy variables, the block from `first_copy` up (see `encode.VarTable`),
-are propagated but never decided and never enumerated. A component's
-variables are sorted, so its non-copies are the prefix below `first_copy`.
-When counting, two kinds of component are valued before the cache, which
-so holds only components the search branched on. One variable is a free
-singleton (at a fixpoint, a clause with one unassigned variable is
-satisfied), worth 2 for a non-copy and 1 for a copy. More variables hold a
-clause; with a copy first, no non-copy is left to branch on, and the
-component is worth 0, as every clause of a fresh component is unsatisfied
-(a loop with no external justification).
-
-Enumeration reads its leaves off the copy variables. At a conflict-free
-fixpoint reached with no assumptions, a copy a' is false exactly when its
+are propagated but never decided, enumerated or assumed, so every copy on
+the trail was propagated. A component's variables are sorted, so its
+non-copies are the prefix below `first_copy`. Both searches read the copies
+alike: at a conflict-free fixpoint, a copy a' is false exactly when its
 atom's literal L[a] is false:
   (i)  if a' is false, so is L[a]. Otherwise take the first copy a' on
        the trail made false while L[a] is not. A rule clause -a' | ... | z'
@@ -58,14 +50,26 @@ atom's literal L[a] is false:
        fixed literal (see `encode`), that clause is the unit -a' if L[a] is
        fixed false, and there is none if it is fixed true, as L[a] is then
        never false.
-So at a leaf, every non-copy variable assigned, an unassigned copy x' has
-L[x] true, hence some body of x true, and that rule's copy clause has no
-true literal: the leaf is no answer. A leaf with every variable assigned
-satisfies every clause: it is an answer. The first unassigned variable
-from the last branch variable on is thus a non-copy to branch on, a
-copy (the leaf is worth 0) or none (the leaf is an answer). Count mode
-takes copy-literal assumptions, under which (i) need not hold, and keeps
-its own base cases.
+So an unassigned copy x' has L[x] not false. If L[x] is unassigned, the
+clause -x' | L[x] is unsatisfied. If L[x] is true, the completion keeps
+some body of x not false, and by (i) that rule's copy clause has no true
+literal. Either way x' is in an unsatisfied clause, which at a fixpoint has
+another unassigned variable: no copy is ever a free singleton.
+
+When counting, two kinds of component are valued before the cache, which
+so holds only components the search branched on. One variable is a free
+singleton (at a fixpoint, a clause with one unassigned variable is
+satisfied), a non-copy by the above, worth 2. More variables hold a
+clause; with a copy first, no non-copy is left to branch on, and the
+component is worth 0, as every clause of a fresh component is unsatisfied
+(a loop with no external justification).
+
+Enumeration reads its leaves off the copies. At a leaf, every non-copy
+variable assigned, an unassigned copy x' has L[x] true, and the copy
+clause above has no true literal: the leaf is no answer. A leaf with every
+variable assigned satisfies every clause: it is an answer. The first
+unassigned variable from the last branch variable on is thus a non-copy to
+branch on, a copy (the leaf is worth 0) or none (the leaf is an answer).
 
 Branching reads only the component it is handed: `decide` counts, per
 free non-copy variable, its literals in the component's listed clauses,
@@ -139,7 +143,7 @@ class Engine:
     ):
         self.n_vars = n = pair.n_vars
         self.first_copy = pair.vars.first_copy
-        self.canon = pair.completion.clauses + pair.copy_clauses.clauses
+        self.canon = pair.completion + pair.copy_clauses
         self._has_empty_clause = any(not c for c in self.canon)
         self._unit_lits = [c[0] for c in self.canon if len(c) == 1]
         # A literal l has the slot l + n_vars, in `lit_value` and here.
@@ -295,17 +299,14 @@ class Engine:
         del trail[mark:]
         self.qhead = mark
 
-    def _apply_initial(self, assumptions=()) -> bool:
-        """Level-0 units and assumptions; False on immediate conflict. The
-        time budget is checked first, so a zero budget is exhausted even
-        when propagation leaves nothing to search."""
+    def _apply_initial(self) -> bool:
+        """Level-0 units; False on immediate conflict. The time budget is
+        checked first, so a zero budget is exhausted even when propagation
+        leaves nothing to search."""
         self._check_deadline()
         if self._has_empty_clause:
             return False
         for lit in self._unit_lits:
-            if not self.assign(lit):
-                return False
-        for lit in assumptions:
             if not self.assign(lit):
                 return False
         return self.propagate() is None
@@ -466,17 +467,11 @@ class Engine:
 
     # -- search ------------------------------------------------------------
 
-    def count(self, assumptions=()) -> tuple[int, RunStats]:
-        """Exact answer-set count of the models that make every assumption
-        literal true. Resets search state (cache included); the time budget
-        runs from this call."""
-        assumptions = tuple(assumptions)
-        for lit in assumptions:
-            # a literal outside +-1..n_vars would index some other slot
-            if not 0 < abs(lit) <= self.n_vars:
-                raise ValueError(f"assumption {lit} is not a literal of this formula")
+    def count(self) -> tuple[int, RunStats]:
+        """Exact answer-set count. Resets search state (cache included); the
+        time budget runs from this call."""
         self._begin()
-        return self._run(assumptions=assumptions)
+        return self._run()
 
     def _begin(self, path: str = ""):
         """Arms the time budget and starts the RunStats of one public call."""
@@ -484,13 +479,13 @@ class Engine:
             self._deadline = time.perf_counter() + self.budget
         self.stats = RunStats(path=path)
 
-    def _run(self, limit: int | None = None, assumptions=()) -> tuple[int | None, RunStats]:
+    def _run(self, limit: int | None = None) -> tuple[int | None, RunStats]:
         """One search from a fresh state: counting (`_search`) when `limit`
         is None, else enumeration up to `limit` answer sets (`_enumerate`)."""
         if limit is not None and limit < 1:
             raise ValueError("limit must be >= 1")
         self.reset()
-        if not self._apply_initial(assumptions):
+        if not self._apply_initial():
             return 0, self._finalize()
         if limit is None:
             return self._search(self.decompose(range(self.n_vars))), self._finalize()
@@ -558,13 +553,12 @@ class Engine:
                 sub = subs[i]
                 i += 1
                 # before the cache (see the module docstring): a free
-                # singleton, and a component with no non-copy variable
-                v = sub.vars[0]
+                # singleton, always a non-copy, and a component with no
+                # non-copy variable
                 if len(sub.vars) == 1:
-                    if v < first_copy:
-                        prod *= 2
+                    prod *= 2
                     continue
-                if v >= first_copy:
+                if sub.vars[0] >= first_copy:
                     prod = 0
                     continue
                 if caching:

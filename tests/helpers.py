@@ -8,7 +8,7 @@ from typing import Mapping
 
 from aspcount.analysis import derivable_atoms
 from aspcount.benchgen import Graph
-from aspcount.encode import Cnf
+from aspcount.encode import PairFormula
 from aspcount.program import AtomId, Constraint, Program, Rule, SymbolTable
 
 EXAMPLE1 = """\
@@ -39,7 +39,7 @@ def render_graph(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def residual(cnf: Cnf, assignment: Mapping[int, bool]) -> Cnf:
+def residual(clauses, assignment: Mapping[int, bool]) -> list[tuple[int, ...]]:
     """Reference unit propagation of a partial assignment on a clause list.
 
     Satisfied clauses are removed, false literals are shrunk away, and
@@ -48,7 +48,7 @@ def residual(cnf: Cnf, assignment: Mapping[int, bool]) -> Cnf:
     multisets). A conflict yields a single empty clause.
     """
     values: dict[int, bool] = dict(assignment)
-    work = [list(c) for c in cnf.clauses]
+    work = [list(c) for c in clauses]
     while True:
         survivors = []
         units: list[int] = []
@@ -65,7 +65,7 @@ def residual(cnf: Cnf, assignment: Mapping[int, bool]) -> Cnf:
             if satisfied:
                 continue
             if not keep:
-                return Cnf([()])
+                return [()]
             if len(keep) == 1:
                 units.append(keep[0])
             survivors.append(keep)
@@ -73,15 +73,21 @@ def residual(cnf: Cnf, assignment: Mapping[int, bool]) -> Cnf:
         for l in units:
             v = var_of(l)
             if consistent_units.get(v, l > 0) != (l > 0):
-                return Cnf([()])
+                return [()]
             consistent_units[v] = l > 0
         if not consistent_units:
             out = sorted(
                 tuple(sorted(c, key=lambda l: (abs(l), l > 0))) for c in survivors
             )
-            return Cnf(out)
+            return out
         values.update(consistent_units)
         work = survivors
+
+
+def with_unit(pair: PairFormula, lit: int) -> PairFormula:
+    """The pair with the unit clause `lit` added to its completion: counting
+    it counts the answer sets in which the non-copy literal `lit` is true."""
+    return PairFormula(pair.completion + [(lit,)], pair.copy_clauses, pair.vars)
 
 
 def path_text(n: int) -> str:
@@ -209,7 +215,7 @@ def extends_to_completion_model(pair, m: frozenset[int]) -> bool:
 
 def copy_clauses_discharge(pair, m: frozenset[int]) -> bool:
     tau = class_values(pair, m)
-    return tau is not None and len(residual(pair.copy_clauses, tau).clauses) == 0
+    return tau is not None and not residual(pair.copy_clauses, tau)
 
 
 def graph_ham_count(graph) -> int:

@@ -34,6 +34,7 @@ from helpers import (
     id_of,
     random_program,
     residual,
+    with_unit,
 )
 
 
@@ -73,15 +74,15 @@ def test_c01_example1_fidelity():
             _sorted_clause(-la, cd),
             _sorted_clause(-lb, -cc, cd),
         }
-        assert set(pair.copy_clauses.clauses) == expected
+        assert set(pair.copy_clauses) == expected
 
         # the variable assignments of the atom sets {b}, {a, c, d}, {b, c, d}
         tau1 = class_values(pair, frozenset({b}))
         tau2 = class_values(pair, frozenset({a, c, d}))
         tau3 = class_values(pair, frozenset({b, c, d}))
-        assert residual(pair.copy_clauses, tau1).clauses == []
-        assert residual(pair.copy_clauses, tau2).clauses == []
-        assert residual(pair.copy_clauses, tau3).clauses != []
+        assert residual(pair.copy_clauses, tau1) == []
+        assert residual(pair.copy_clauses, tau2) == []
+        assert residual(pair.copy_clauses, tau3) != []
 
         assert Engine(pair).count()[0] == 2
         assert brute_force_count(p) == 2
@@ -141,8 +142,8 @@ def test_c04_determinism_identity():
             pair = build_pair(p)
             x = pair.vars.lit_of_atom[rng.randrange(p.n_atoms)]
             total = Engine(pair).count()[0]
-            high = Engine(pair).count(assumptions=[x])[0]
-            low = Engine(pair).count(assumptions=[-x])[0]
+            high = Engine(with_unit(pair, x)).count()[0]
+            low = Engine(with_unit(pair, -x)).count()[0]
             assert total == high + low
 
 
@@ -259,10 +260,10 @@ def test_c10_conjunction_soundness():
                     del t2[k]
             else:
                 t2 = random_tau()
-            f1 = sorted(residual(pair.completion, t1).clauses)
-            f2 = sorted(residual(pair.completion, t2).clauses)
-            g1 = sorted(residual(pair.copy_clauses, t1).clauses)
-            g2 = sorted(residual(pair.copy_clauses, t2).clauses)
+            f1 = sorted(residual(pair.completion, t1))
+            f2 = sorted(residual(pair.completion, t2))
+            g1 = sorted(residual(pair.copy_clauses, t1))
+            g2 = sorted(residual(pair.copy_clauses, t2))
             if any(() in r for r in (f1, f2, g1, g2)):
                 continue  # conflicts collapse to the empty clause; no information
             checked += 1

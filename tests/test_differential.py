@@ -2,10 +2,10 @@
 agreement between the count, cache-off and enumeration modes and between
 a count and its split on one variable, propagation against a naive
 unit-resolution closure, the invariants of decompose that the exact
-cache key and decide rely on, and the key's exactness itself. Below the
-cap, the encoder's preprocessing (dropped underivable rules, one variable
-per class of equivalent literals) and counts under random branching are
-checked against the oracle."""
+cache key and decide rely on, the key's exactness itself, and that no
+copy is ever a free singleton. Below the cap, the encoder's preprocessing
+(dropped underivable rules, one variable per class of equivalent literals)
+and counts under random branching are checked against the oracle."""
 
 import math
 import random
@@ -29,10 +29,10 @@ from aspcount import (
 from aspcount import engine as engine_module
 from aspcount.analysis import derivable_atoms
 from aspcount.benchgen import Graph
-from aspcount.encode import Cnf, PairFormula, VarTable
+from aspcount.encode import PairFormula, VarTable
 from aspcount.program import Constraint, Program, Rule, SymbolTable
 
-from helpers import graph_reach_count, path_text, random_program
+from helpers import graph_reach_count, path_text, random_program, with_unit
 
 ENUM_LIMIT = 16
 
@@ -126,9 +126,9 @@ def test_count_is_sum_of_split_on_one_variable(program, pick):
     pair = build_pair(program)
     x = pick % pair.vars.first_copy + 1  # a non-copy variable, as a literal
     for use_cache in (True, False):
-        eng = Engine(pair, use_cache=use_cache)
-        n = eng.count()[0]
-        assert eng.count([x])[0] + eng.count([-x])[0] == n
+        n = Engine(pair, use_cache=use_cache).count()[0]
+        split = [Engine(with_unit(pair, l), use_cache=use_cache).count()[0] for l in (x, -x)]
+        assert sum(split) == n
 
 
 def _residual(eng, variables):
@@ -217,6 +217,56 @@ def test_cache_holds_only_searched_components(make):
 @given(block_programs())
 def test_cache_holds_only_searched_components_on_block_programs(program):
     _assert_cache_holds_only_searched(build_pair(program))
+
+
+@contextmanager
+def _recording_singletons():
+    """Patches `Engine.decompose` to record the variable of every
+    one-variable component it returns; yields the list."""
+    singles = []
+    real = Engine.decompose
+
+    def decompose(self, variables):
+        comps = real(self, variables)
+        singles.extend(comp.vars[0] for comp in comps if len(comp.vars) == 1)
+        return comps
+
+    Engine.decompose = decompose
+    try:
+        yield singles
+    finally:
+        Engine.decompose = real
+
+
+def _assert_no_copy_singleton(pair):
+    """Counts `pair` with the cache on and off, checking that every free
+    singleton `decompose` returns is a non-copy, which `_search` values at 2
+    with no copy test (see the engine docstring); returns how many it saw."""
+    with _recording_singletons() as singles:
+        n = Engine(pair).count()[0]
+        assert Engine(pair, use_cache=False).count()[0] == n
+    assert all(v < pair.vars.first_copy for v in singles)
+    return len(singles)
+
+
+def test_no_copy_is_a_free_singleton():
+    # the three pinned instances and 1 000 random programs; ham meets no
+    # free singleton and the random programs few, so this asserts only that
+    # some were checked
+    rng = random.Random(29)
+    programs = [
+        parse_program(path_text(40)),
+        gen_reachability(random_graph(12, 28, seed=1), 0, 11),
+        gen_hamiltonian(random_graph(9, 36, seed=1)),
+    ]
+    programs += [random_program(rng, max_atoms=10) for _ in range(1000)]
+    assert sum(_assert_no_copy_singleton(build_pair(p)) for p in programs) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_programs())
+def test_no_copy_is_a_free_singleton_on_block_programs(program):
+    _assert_no_copy_singleton(build_pair(program))
 
 
 @st.composite
@@ -366,16 +416,16 @@ def clause_sets(draw):
         v = rng.randint(1, n)
         return v if rng.random() < 0.5 else -v
 
-    cnf = Cnf()
+    clauses = {}  # an ordered set
     for kind in rng.choices("ubtl", weights=(1, 8, 1, 12), k=rng.randint(n, 4 * n)):
         if kind == "t":
             v = rng.randint(1, n)
-            cnf.add((-v, v))
+            clauses[-v, v] = None
         else:
             size = {"u": 1, "b": 2, "l": rng.randint(3, 4)}[kind]
             lits = {lit() for _ in range(size)}
-            cnf.add(tuple(sorted(lits, key=lambda l: (abs(l), l > 0))))
-    return n, cnf, [lit() for _ in range(rng.randint(1, n))]
+            clauses[tuple(sorted(lits, key=lambda l: (abs(l), l > 0)))] = None
+    return n, list(clauses), [lit() for _ in range(rng.randint(1, n))]
 
 
 def _closure(clauses, true):
@@ -400,8 +450,8 @@ def _closure(clauses, true):
 @settings(max_examples=200, deadline=None)
 @given(clause_sets())
 def test_propagate_matches_naive_closure(formula):
-    n, cnf, assumptions = formula
-    eng = Engine(PairFormula(cnf, Cnf(), VarTable(list(range(1, n + 1)))))
+    n, clauses, assumptions = formula
+    eng = Engine(PairFormula(clauses, [], VarTable(list(range(1, n + 1)))))
     value = eng.lit_value
 
     def true_lits():
@@ -411,7 +461,7 @@ def test_propagate_matches_naive_closure(formula):
         assert lits == set(eng.trail)
         return lits
 
-    closure = _closure(cnf.clauses, ())
+    closure = _closure(clauses, ())
     assert eng._apply_initial() == (closure is not None)
     if closure is None:
         return
@@ -423,7 +473,7 @@ def test_propagate_matches_naive_closure(formula):
         if not eng.assign(lit):
             assert -lit in true_lits()
             continue
-        closure = _closure(cnf.clauses, true_lits())
+        closure = _closure(clauses, true_lits())
         conflict = eng.propagate()
         assert (conflict is None) == (closure is not None)
         if conflict is None:

@@ -66,12 +66,12 @@ def test_single_rule_atom_clauses_match_truth_table():
 def test_atom_without_rules_is_forced_false():
     pair = build_pair(parse_program("a :- b."))
     b = 1
-    assert _clause(-pos_lit(b)) in pair.completion.clauses
+    assert _clause(-pos_lit(b)) in pair.completion
 
 
 def test_fact_yields_unit_clause():
     pair = build_pair(parse_program("a."))
-    assert pair.completion.clauses == [(pos_lit(0),)]
+    assert pair.completion == [(pos_lit(0),)]
 
 
 def test_copy_operation_example1_exact():
@@ -88,7 +88,7 @@ def test_copy_operation_example1_exact():
         _clause(-a, cd),
         _clause(-b, -cc, cd),
     }
-    assert set(pair.copy_clauses.clauses) == expected
+    assert set(pair.copy_clauses) == expected
     assert len(pair.copy_clauses) == 5
 
 
@@ -102,7 +102,7 @@ def test_example1_bodies_the_map_contradicts_drop_out():
     assert pair.n_vars == 7  # 4 classes, 1 auxiliary, 2 copies
     assert pair.vars.aux_of_body == {frozenset({b, c}): 4}
     x = pos_lit(4)
-    assert set(pair.completion.clauses) == {
+    assert set(pair.completion) == {
         _clause(-c, d),
         _clause(-d, c),
         _clause(-x, b),
@@ -126,7 +126,7 @@ def test_fact_makes_no_auxiliary():
     p = parse_program("a.\na :- b, c.\na :- d, e.\n" + _choices("bcde"))
     pair = build_pair(p)
     assert not pair.vars.aux_of_body
-    assert pair.completion.clauses == [_clause(*_lits(p, pair, "a"))]
+    assert pair.completion == [_clause(*_lits(p, pair, "a"))]
     assert pair.n_vars == 5
     assert Engine(pair).count()[0] == brute_force_count(p) == 16
 
@@ -152,7 +152,7 @@ def test_tight_program_has_no_copy_clauses():
 def test_underivable_self_loop_is_a_unit():
     # a :- a. alone can never fire: a is outside the derivable atoms
     pair = build_pair(parse_program("a :- a."))
-    assert pair.completion.clauses == [(-pos_lit(0),)]
+    assert pair.completion == [(-pos_lit(0),)]
     assert not pair.copy_vars and len(pair.copy_clauses) == 0
 
 
@@ -206,7 +206,7 @@ def test_fixed_literals_fold_into_the_pair():
     assert c == d
     text = emit_dimacs(pair)
     assert "p cnf 5 5\n" in text and "c aux" not in text
-    assert pair.completion.clauses == [(f,), (c,)]
+    assert pair.completion == [(f,), (c,)]
     cc, cd = (pos_lit(pair.vars.copy_of_atom[id_of(p.atoms, s)]) for s in "cd")
     assert set(pair.copy_clauses) == {_clause(-a, cc), _clause(cc, -cd), _clause(-cc, cd)}
     assert _counts(pair, 4) == (1, 1, 1, 1)
@@ -218,7 +218,7 @@ def test_contradicting_fixed_literals_give_the_empty_clause(text):
     # a fact and :- a., or a with no rule and :- not a.
     p = parse_program(text)
     pair = build_pair(p)
-    assert pair.completion.clauses == [()]
+    assert pair.completion == [()]
     assert emit_dimacs(pair).endswith("p cnf 1 1\n0\n")
     assert _counts(pair, 4) == (0, 0, 0, 0)
     assert brute_force_count(p) == 0
@@ -268,8 +268,8 @@ def test_fold_keeps_every_count():
         n = brute_force_count(p)
         assert _counts(pair, 1 << p.n_atoms) == (n, n, n, n)
         fixed = _expected_fixed(p, pair.vars.lit_of_atom)
-        clauses = pair.completion.clauses + pair.copy_clauses.clauses
-        if pair.completion.clauses == [()]:  # two fixed literals contradict
+        clauses = pair.completion + pair.copy_clauses
+        if pair.completion == [()]:  # two fixed literals contradict
             assert n == 0
             continue
         assert not any(-l in fixed for l in fixed)
@@ -318,9 +318,11 @@ def test_variable_blocks_on_random_programs():
 
         assert not any(var_of(l) >= first for c in pair.completion for l in c)
         assert all(any(var_of(l) >= first for l in c) for c in pair.copy_clauses)
-        # no binary clause is over one variable, (-v, v)
-        clauses = pair.completion.clauses + pair.copy_clauses.clauses
-        assert not any(len(c) == 2 and c[0] == -c[1] for c in clauses)
+        # both lists hold canonical clauses: strictly increasing by variable
+        # (so no binary clause is over one variable, (-v, v)), none twice
+        for clauses in (pair.completion, pair.copy_clauses):
+            assert all(abs(a) < abs(b) for c in clauses for a, b in zip(c, c[1:]))
+            assert len(set(clauses)) == len(clauses)
 
         blocks = {"orig": (0, t.n_original), "aux": (t.n_original, first), "copy": (first, n)}
         expected = {k: list(range(lo + 1, hi + 1)) for k, (lo, hi) in blocks.items() if lo < hi}

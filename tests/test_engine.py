@@ -18,10 +18,12 @@ from aspcount import (
     parse_program,
     random_graph,
 )
-from aspcount.encode import Cnf, pos_lit
+from aspcount.encode import pos_lit
 from aspcount.engine import Component, entry_bytes
 
-from helpers import EXAMPLE1, disjoint_union, id_of, path_text, random_program, residual
+from helpers import (
+    EXAMPLE1, disjoint_union, id_of, path_text, random_program, residual, with_unit,
+)
 
 
 def _pair(text):
@@ -42,20 +44,16 @@ def test_propagate_example1_after_b():
     assert eng.lit_value[n + a] == 0
     # e :- not a, not b. reads as {-a, a} and drops out: e is only in its
     # unit -e, which _apply_initial sets and propagate does not
-    assert (-e,) in pair.completion.clauses
+    assert (-e,) in pair.completion
     assert eng.lit_value[n + e] == -1
     assert eng.lit_value[n + c] == -1
     assert eng.lit_value[n + d] == -1
 
 
-def test_count_rejects_assumptions_outside_the_formula():
+def test_count_under_a_unit_clause():
     pair = _pair("a :- not b.\nb :- not a.")
     a, b = pair.vars.lit_of_atom
-    eng = Engine(pair)
-    assert eng.count([a])[0] == eng.count([-b])[0] == 1
-    for lit in (0, eng.n_vars + 1, -eng.n_vars - 1):
-        with pytest.raises(ValueError):
-            eng.count([lit])
+    assert Engine(with_unit(pair, a)).count()[0] == Engine(with_unit(pair, -b)).count()[0] == 1
 
 
 def test_propagate_detects_false_unit():
@@ -104,19 +102,15 @@ def test_decide_skips_copy_vars():
     e = pair.vars.lit_of_atom[id_of(p.atoms, "e")]
     assert [comp.vars for comp in comps[1:]] == [(abs(e) - 1,)]
     v = eng.decide(comps[0])
-    assert v is not None and v not in pair.copy_vars
+    assert v in comps[0].vars and v not in pair.copy_vars
 
 
 def test_clause_free_component_doubles_per_free_non_copy():
-    from aspcount.engine import Component
-
     pair = build_pair(parse_program(EXAMPLE1))
     eng = Engine(pair)
     # two non-copy variables (the class of a and b, and c) free with every
-    # clause satisfied, so decompose gives each its own singleton; a free
-    # copy adds no factor
-    free = (0, 1, pair.vars.first_copy)
-    assert eng._search([Component((v,), ()) for v in free]) == 4
+    # clause satisfied, so decompose gives each its own singleton
+    assert eng._search([Component((v,), ()) for v in (0, 1)]) == 4
 
 
 def test_decide_reads_only_its_component_and_the_assignment():
@@ -275,8 +269,8 @@ def test_determinism_identity():
         pair = build_pair(p)
         x = pair.vars.lit_of_atom[rng.randrange(p.n_atoms)]
         total = Engine(pair).count()[0]
-        high = Engine(pair).count(assumptions=[x])[0]
-        low = Engine(pair).count(assumptions=[-x])[0]
+        high = Engine(with_unit(pair, x)).count()[0]
+        low = Engine(with_unit(pair, -x)).count()[0]
         assert total == high + low
 
 
@@ -376,7 +370,7 @@ def test_conjunction_soundness():
         else:
             t2 = random_tau()
         parts = {
-            (which, i): sorted(residual(cnf, t).clauses)
+            (which, i): sorted(residual(cnf, t))
             for which, cnf in (("f", pair.completion), ("g", pair.copy_clauses))
             for i, t in ((1, t1), (2, t2))
         }
@@ -576,10 +570,10 @@ def test_hybrid_cut_in_counting_keeps_enumeration_counters(monkeypatch):
     begun = []
     real_run = Engine._run
 
-    def count_spy(self, limit=None, assumptions=()):
+    def count_spy(self, limit=None):
         if limit is None:
             begun.append(dataclasses.replace(self.stats))
-        return real_run(self, limit, assumptions)
+        return real_run(self, limit)
 
     def check(self):
         if self.stats.cache_lookups:

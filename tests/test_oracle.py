@@ -11,7 +11,6 @@ from aspcount import (
     least_model,
     parse_program,
 )
-from aspcount.encode import Cnf
 from aspcount.program import Constraint, Program, Rule, SymbolTable
 
 from helpers import EXAMPLE1, id_of, random_program, residual
@@ -95,34 +94,24 @@ def test_residual_example1_assignments():
     a, b, c, d, e = range(5)
     t1 = {b: True, a: False, c: False, d: False, e: False}
     t3 = {b: True, c: True, d: True, a: False, e: False}
-    assert residual(pair.copy_clauses, t1).clauses == []
-    left = residual(pair.copy_clauses, t3).clauses
+    assert residual(pair.copy_clauses, t1) == []
+    left = residual(pair.copy_clauses, t3)
     assert left
     copy_vars = pair.copy_vars
     assert all(all(abs(l) - 1 in copy_vars for l in cl) for cl in left)
 
 
 def test_residual_no_assignment_no_units():
-    cnf = Cnf()
-    cnf.add((1, 2))
-    cnf.add((-2, 3))
-    out = residual(cnf, {})
-    assert sorted(out.clauses) == sorted(cnf.clauses)
+    clauses = [(1, 2), (-2, 3)]
+    assert sorted(residual(clauses, {})) == sorted(clauses)
 
 
 def test_residual_conflict_is_empty_clause():
-    cnf = Cnf()
-    cnf.add((1,))
-    cnf.add((-1,))
-    assert residual(cnf, {}).clauses == [()]
+    assert residual([(1,), (-1,)], {}) == [()]
 
 
 def test_residual_propagates_derived_units():
-    cnf = Cnf()
-    cnf.add((1,))
-    cnf.add((-1, 2))
-    cnf.add((-2, 3, 4))
-    assert residual(cnf, {}).clauses == [(3, 4)]
+    assert residual([(1,), (-1, 2), (-2, 3, 4)], {}) == [(3, 4)]
 
 
 def test_least_model_monotone_in_facts():
