@@ -18,21 +18,12 @@ class DepGraph:
     n_nodes: int
     edges: frozenset[tuple[AtomId, AtomId]]
 
-    def successors(self) -> list[list[AtomId]]:
-        succ: list[list[AtomId]] = [[] for _ in range(self.n_nodes)]
-        for u, v in self.edges:
-            succ[u].append(v)
-        return succ
-
 
 @dataclass(frozen=True)
 class LoopInfo:
-    """`scc_of[v]` is the index of atom v's SCC of the dependency graph.
-    Indices are dense from 0 and in a topological order of the SCCs: an edge
-    u -> v between two SCCs, from a rule's head to a positive body atom, has
-    scc_of[u] < scc_of[v]. `loop_atoms` are the atoms on a directed cycle."""
+    """`loop_atoms` are the atoms on a directed cycle of the dependency
+    graph; a program is tight when it has none."""
 
-    scc_of: tuple[int, ...]
     loop_atoms: frozenset[AtomId]
 
 
@@ -76,9 +67,13 @@ def compute_loop_atoms(graph: DepGraph) -> LoopInfo:
     SCCs by Kosaraju's two traversals, both iterative and linear in nodes
     plus edges: a DFS that lists the nodes by finishing time, then searches
     over the reversed edges, latest-finished node first, each of which
-    labels one SCC with the next index."""
+    collects the unclaimed nodes of one SCC."""
     n = graph.n_nodes
-    succ = graph.successors()
+    succ: list[list[AtomId]] = [[] for _ in range(n)]
+    pred: list[list[AtomId]] = [[] for _ in range(n)]
+    for u, v in graph.edges:
+        succ[u].append(v)
+        pred[v].append(u)
     finished: list[AtomId] = []
     seen = [False] * n
     for root in range(n):
@@ -96,23 +91,18 @@ def compute_loop_atoms(graph: DepGraph) -> LoopInfo:
             else:
                 stack.pop()
                 finished.append(v)
-    pred: list[list[AtomId]] = [[] for _ in range(n)]
-    for u, v in graph.edges:
-        pred[v].append(u)
-    scc_of = [-1] * n
-    n_sccs = 0
+    claimed = [False] * n
     loop = {v for v, w in graph.edges if v == w}
     for root in reversed(finished):
-        if scc_of[root] != -1:
+        if claimed[root]:
             continue
-        scc_of[root] = n_sccs
+        claimed[root] = True
         members = [root]
         for v in members:  # grows while the search reaches new nodes
             for u in pred[v]:
-                if scc_of[u] == -1:
-                    scc_of[u] = n_sccs
+                if not claimed[u]:
+                    claimed[u] = True
                     members.append(u)
         if len(members) > 1:
             loop.update(members)
-        n_sccs += 1
-    return LoopInfo(tuple(scc_of), frozenset(loop))
+    return LoopInfo(frozenset(loop))

@@ -69,29 +69,36 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("count", parents=[common], help="exact answer-set count")
     p.add_argument("file")
+    p.set_defaults(handler=_cmd_solve, solve=lambda e, a: e.count(), budget=None)
 
     p = sub.add_parser("enumerate", parents=[common], help="count by enumeration up to a limit")
     p.add_argument("file")
     p.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUM_THRESHOLD)
+    p.set_defaults(handler=_cmd_solve, solve=lambda e, a: e.enumerate_up_to(a.limit), budget=None)
 
     p = sub.add_parser("hybrid", parents=[common], help="enumerate, fall back to counting")
     p.add_argument("file")
     p.add_argument("--threshold", type=_positive_int, default=DEFAULT_ENUM_THRESHOLD)
     p.add_argument("--budget", type=_non_negative_float, default=None, help="total seconds")
+    p.set_defaults(handler=_cmd_solve, solve=lambda e, a: e.hybrid(a.threshold))
 
     p = sub.add_parser("translate", help="emit annotated DIMACS")
     p.add_argument("file")
     p.add_argument("-o", "--output", default=None)
+    p.set_defaults(handler=_cmd_translate)
 
     p = sub.add_parser("oracle", help="brute-force count (small programs)")
     p.add_argument("file")
     p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ATOM_CAP)
+    p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("analyze", help="tightness, loop atoms, underivable atoms, warnings")
     p.add_argument("file")
     p.add_argument("--dump-graph", action="store_true")
+    p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("gen", help="generate benchmark instances")
+    p.set_defaults(handler=_cmd_gen)
     gen_sub = p.add_subparsers(dest="family", required=True)
     g = gen_sub.add_parser("chain")
     g.add_argument("n", type=int)
@@ -148,39 +155,23 @@ def _report(args, answer_count, stats: RunStats, wall, setup, program, pair):
     print(json.dumps(doc), file=sys.stderr)
 
 
-def _engine(args, pair) -> Engine:
-    return Engine(
-        pair,
-        use_cache=not args.no_cache,
-        cache_limit_bytes=args.cache_limit_mb << 20,
-        budget=getattr(args, "budget", None),
-    )
-
-
 def _load(path: str):
     return parse_program(Path(path).read_text())
 
 
-def _solve(args, engine: Engine):
-    """(count, or None past enumerate's limit, stats) for args.cmd."""
-    if args.cmd == "count":
-        return engine.count()
-    if args.cmd == "hybrid":
-        return engine.hybrid(args.threshold)
-    return engine.enumerate_up_to(args.limit)
-
-
 def _cmd_solve(args) -> int:
-    """count / enumerate / hybrid; wall_seconds runs from before the file is
-    read, and parse_seconds (reading and parsing) and encode_seconds
-    (build_pair) are parts of it."""
+    """count / enumerate / hybrid, by `args.solve(engine, args)`; wall_seconds
+    runs from before the file is read, and parse_seconds (reading and
+    parsing) and encode_seconds (build_pair) are parts of it."""
     t0 = time.perf_counter()
     program = _load(args.file)
     t1 = time.perf_counter()
     pair = build_pair(program)
     setup = (t1 - t0, time.perf_counter() - t1)
     try:
-        n, stats = _solve(args, _engine(args, pair))
+        cap = args.cache_limit_mb << 20
+        eng = Engine(pair, use_cache=not args.no_cache, cache_limit_bytes=cap, budget=args.budget)
+        n, stats = args.solve(eng, args)
     except ResourceLimitError as e:
         wall = time.perf_counter() - t0
         _report(args, "exceeded", e.stats or RunStats(), wall, setup, program, pair)
@@ -241,17 +232,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "count": _cmd_solve,
-    "enumerate": _cmd_solve,
-    "hybrid": _cmd_solve,
-    "translate": _cmd_translate,
-    "oracle": _cmd_oracle,
-    "analyze": _cmd_analyze,
-    "gen": _cmd_gen,
-}
-
-
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -260,7 +240,7 @@ def run(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     try:
-        return _DISPATCH[args.cmd](args)
+        return args.handler(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 1

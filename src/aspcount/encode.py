@@ -139,18 +139,18 @@ def clark_completion(program: Program) -> tuple[list[tuple[int, ...]], VarTable,
     (see the module docstring) are each head with an empty set, the
     negation of each head with no set, and the literal of each one-literal
     constraint; their units go out first, or the empty clause alone when
-    two of them contradict. Then each set is read without its fixed-true
-    literals, a set holding a fixed-false one drops out, and that set
-    decides every case. Per head h: h fixed false gives -set per set (no
-    set may hold); an empty set gives the unit h; otherwise
-    h <-> (d_1 | ... | d_k), the unit -h when no set is left, where d_i is
-    the set's lone literal, h itself when the set is h's only one, or else
-    the set's BODY_AUX with d_i <-> set, shared by every head with an equal
-    set; with h fixed true, a clause holding h is not emitted and one
-    holding -h loses it. Each integrity constraint contributes its one
-    clause, folded the same way. The completion entails a <-> L[a], so a
-    contradictory set is false in every model, equal sets are equivalent,
-    and an auxiliary is a function of the originals.
+    two of them contradict. Then every set, on one path whether or not a
+    literal is fixed, is read without its fixed-true literals; a set holding
+    a fixed-false one drops out, and that set decides every case. Per head
+    h: h fixed false gives -set per set (no set may hold); an empty set
+    gives the unit h; otherwise h <-> (d_1 | ... | d_k), the unit -h when
+    no set is left, where d_i is the set's lone literal, h itself when the
+    set is h's only one, or else the set's BODY_AUX with d_i <-> set, shared
+    by every head with an equal set; with h fixed true, a clause holding h
+    is not emitted and one holding -h loses it. Each integrity constraint
+    contributes its one clause, folded the same way. The completion entails
+    a <-> L[a], so a contradictory set is false in every model, equal sets
+    are equivalent, and an auxiliary is a function of the originals.
     """
     by_head: dict[AtomId, dict[tuple[frozenset, frozenset], None]] = {}
     for r in program.rules:
@@ -194,21 +194,20 @@ def clark_completion(program: Program) -> tuple[list[tuple[int, ...]], VarTable,
 
     touched = true | false
     for h, sets in heads:
-        if touched:  # else no set is empty and no h is fixed
-            if not touched.isdisjoint(chain.from_iterable(sets)):
-                folded = {}
-                for key, body in sets.items():
-                    if key.isdisjoint(false):
-                        folded.setdefault(key - true, body)
-                sets = folded
-            if h in false:  # no set may hold
-                for key in sets:
-                    add(tuple(sorted(map(neg, key), key=abs)))
-                continue
-            if frozenset() in sets:
-                if h not in true:
-                    add((h,))
-                continue
+        if not touched.isdisjoint(chain.from_iterable(sets)):
+            folded = {}
+            for key, body in sets.items():
+                if key.isdisjoint(false):
+                    folded.setdefault(key - true, body)
+            sets = folded
+        if h in false:  # no set may hold
+            for key in sets:
+                add(tuple(sorted(map(neg, key), key=abs)))
+            continue
+        if frozenset() in sets:
+            if h not in true:
+                add((h,))
+            continue
         fixed = h in true  # then no clause that holds h goes out, nor -h
         disjuncts = []
         for key, (p, n) in sets.items():
@@ -216,10 +215,9 @@ def clark_completion(program: Program) -> tuple[list[tuple[int, ...]], VarTable,
                 (d,) = key
             else:
                 # the clauses -d | l go out in the order of the body's
-                # positive atoms, then its negative ones
+                # positive atoms, then its negative ones, less the fixed-true
                 lits = [lit[a] for a in sorted(p)] + [-lit[a] for a in sorted(n)]
-                if touched:
-                    lits = [l for l in lits if l in key]
+                lits = [l for l in lits if l in key]
                 if len(sets) == 1:  # h <-> the set: -h | l per l, h | -set
                     d = h
                     for l in lits:
@@ -247,7 +245,7 @@ def clark_completion(program: Program) -> tuple[list[tuple[int, ...]], VarTable,
                     add(_pair(-d, h))
 
     for clause in constraints:
-        if touched and not touched.isdisjoint(clause):
+        if not touched.isdisjoint(clause):
             clause = _clause(clause, true, false)
             if clause is None:
                 continue
@@ -271,10 +269,9 @@ def copy_operation(
     body_lit = list(lit)
     for v in sorted(info.loop_atoms):
         table.copy_of_atom[v] = len(table)
-        body_lit[v] = pos_lit(table.copy_of_atom[v])
-    for v in sorted(info.loop_atoms):
+        body_lit[v] = c = pos_lit(table.copy_of_atom[v])
         if lit[v] not in fixed:  # a copy is above every original
-            add((-body_lit[v],) if lit[v] in false else (lit[v], -body_lit[v]))
+            add((-c,) if lit[v] in false else (lit[v], -c))
     get = body_lit.__getitem__
     for r in program.rules:
         if r.head in info.loop_atoms:

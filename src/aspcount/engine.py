@@ -80,7 +80,10 @@ graph on BFS layers (George & Liu, 1978; built with the occurrence lists
 on the first `decompose`), after sharpSAT-TD's separators-first branching
 (Korhonen & Jarvisalo, CP 2021), so a chain numbered along its length is
 split in its middle, and each half in its middle, rather than peeled from
-one end; remaining ties go to the smallest index.
+one end; remaining ties go to the smallest index. On `path(3000)`, `count()`
+makes 10 012 decisions in 0.13-0.24 s, and parsing plus `build_pair` add
+about 0.1 s (the median of 7-9 timed runs in one process, over five
+processes; Python 3.11 on a 2-core shared VM, raw `perf_counter` seconds).
 """
 
 from __future__ import annotations

@@ -129,6 +129,38 @@ def random_program(rng: random.Random, max_atoms=8, max_rules=14) -> Program:
     return Program(table, rules, constraints)
 
 
+def branching_program(rng: random.Random, max_atoms=12) -> Program:
+    """Small random program whose count is a real search: 2-4 even negation
+    pairs (choices) first, the other atoms derived from them. Most draws get
+    a positive cycle over derived atoms, guarded by choice atoms and
+    supported from one, so non-tight cases stay plentiful; every derived
+    rule has a positive body and at most one negated choice, and a draw may
+    get one constraint. Keep max_atoms at 12 or below: the oracle is
+    exponential in it."""
+    n = rng.randint(6, max_atoms)
+    table = SymbolTable()
+    ids = [table.intern(f"a{i}") for i in range(n)]
+    k = rng.randint(2, min(4, n // 2 - 1))
+    choices, derived = ids[: 2 * k], ids[2 * k :]
+    rules = []
+    for x, y in zip(choices[::2], choices[1::2]):
+        rules += [Rule(x, frozenset(), frozenset({y})), Rule(y, frozenset(), frozenset({x}))]
+    if rng.random() < 0.6:
+        cyc = rng.sample(derived, rng.randint(2, min(4, len(derived))))
+        for i, x in enumerate(cyc):
+            guard = frozenset(rng.sample(choices, rng.randint(0, 1)))
+            rules.append(Rule(x, guard | {cyc[(i + 1) % len(cyc)]}, frozenset()))
+        rules.append(Rule(cyc[0], frozenset({rng.choice(choices)}), frozenset()))
+    for _ in range(rng.randint(len(derived), 2 * len(derived) + 1)):
+        pos = frozenset(rng.sample(ids, rng.randint(1, 2)))
+        neg = frozenset(rng.sample(choices, rng.randint(0, 1)))
+        rules.append(Rule(rng.choice(derived), pos, neg))
+    constraints = []
+    if rng.random() < 0.3:
+        constraints.append(Constraint(frozenset(rng.sample(ids, 2)), frozenset()))
+    return Program(table, rules, constraints)
+
+
 def disjoint_union(p1: Program, p2: Program) -> Program:
     """Union with atoms renamed apart (prefixes q1_/q2_)."""
     table = SymbolTable()

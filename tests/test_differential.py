@@ -32,7 +32,13 @@ from aspcount.benchgen import Graph
 from aspcount.encode import PairFormula, VarTable
 from aspcount.program import Constraint, Program, Rule, SymbolTable
 
-from helpers import graph_reach_count, path_text, random_program, with_unit
+from helpers import (
+    branching_program,
+    graph_reach_count,
+    path_text,
+    random_program,
+    with_unit,
+)
 
 ENUM_LIMIT = 16
 
@@ -344,6 +350,30 @@ def test_preprocessing_keeps_every_answer_set(program):
     for bits in range(1 << program.n_atoms):
         m = frozenset(a for a in range(program.n_atoms) if bits >> a & 1)
         assert m <= derivable or not is_answer_set(program, m)
+
+
+def test_branching_programs_agree_with_the_oracle_in_every_mode():
+    """Programs that make the search branch, decompose and meet the cache,
+    unlike most `random_program` draws, which count 0 or 1 by propagation
+    alone."""
+    rng = random.Random(25)
+    draws = 150
+    deciding = non_tight = hits = 0
+    for _ in range(draws):
+        program = branching_program(rng)
+        expected = brute_force_count(program)
+        pair = build_pair(program)
+        n, stats = Engine(pair).count()
+        assert n == expected
+        assert Engine(pair, use_cache=False).count()[0] == expected
+        assert Engine(pair).enumerate_up_to(1 << program.n_atoms)[0] == expected
+        assert Engine(pair).hybrid(3)[0] == expected
+        deciding += stats.decisions > 0
+        non_tight += bool(pair.copy_vars)
+        hits += stats.cache_hits
+    assert deciding >= 0.8 * draws
+    assert non_tight >= draws / 3
+    assert hits > 0
 
 
 @settings(max_examples=100, deadline=None)
