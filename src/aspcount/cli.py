@@ -37,32 +37,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(kind, low):
+    """An argparse type: `kind(text)`, at least `low`. It bears `kind`'s name,
+    so that an unreadable value reads "invalid int value" as with type=int."""
+    def at_least(text: str):
+        value = kind(text)
+        if not value >= low:  # also rejects nan, which compares false with everything
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
 
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    value = float(text)
-    if not value >= 0:  # also rejects nan, which compares false with everything
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    at_least.__name__ = kind.__name__
+    return at_least
 
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--stats", choices=["json", "none"], default="none")
     common.add_argument("--no-cache", action="store_true")
-    common.add_argument("--cache-limit-mb", type=_non_negative_int, default=1024)
+    common.add_argument("--cache-limit-mb", type=_at_least(int, 0), default=1024)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", default=None)
 
     parser = _Parser(prog="aspcount", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -73,23 +67,22 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", parents=[common], help="count by enumeration up to a limit")
     p.add_argument("file")
-    p.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUM_THRESHOLD)
+    p.add_argument("--limit", type=_at_least(int, 1), default=DEFAULT_ENUM_THRESHOLD)
     p.set_defaults(handler=_cmd_solve, solve=lambda e, a: e.enumerate_up_to(a.limit), budget=None)
 
     p = sub.add_parser("hybrid", parents=[common], help="enumerate, fall back to counting")
     p.add_argument("file")
-    p.add_argument("--threshold", type=_positive_int, default=DEFAULT_ENUM_THRESHOLD)
-    p.add_argument("--budget", type=_non_negative_float, default=None, help="total seconds")
+    p.add_argument("--threshold", type=_at_least(int, 1), default=DEFAULT_ENUM_THRESHOLD)
+    p.add_argument("--budget", type=_at_least(float, 0), default=None, help="total seconds")
     p.set_defaults(handler=_cmd_solve, solve=lambda e, a: e.hybrid(a.threshold))
 
-    p = sub.add_parser("translate", help="emit annotated DIMACS")
+    p = sub.add_parser("translate", parents=[output], help="emit annotated DIMACS")
     p.add_argument("file")
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(handler=_cmd_translate)
 
     p = sub.add_parser("oracle", help="brute-force count (small programs)")
     p.add_argument("file")
-    p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ATOM_CAP)
+    p.add_argument("--cap", type=_at_least(int, 0), default=DEFAULT_ATOM_CAP)
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("analyze", help="tightness, loop atoms, underivable atoms, warnings")
@@ -100,17 +93,17 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gen", help="generate benchmark instances")
     p.set_defaults(handler=_cmd_gen)
     gen_sub = p.add_subparsers(dest="family", required=True)
-    g = gen_sub.add_parser("chain")
+    g = gen_sub.add_parser("chain", parents=[output])
     g.add_argument("n", type=int)
-    g.add_argument("-o", "--output", default=None)
-    g = gen_sub.add_parser("hamiltonian")
+    g.set_defaults(make=lambda a: benchgen.gen_choice_chain(a.n))
+    g = gen_sub.add_parser("hamiltonian", parents=[output])
     g.add_argument("graph")
-    g.add_argument("-o", "--output", default=None)
-    g = gen_sub.add_parser("reach")
+    g.set_defaults(make=lambda a: benchgen.gen_hamiltonian(_graph(a.graph)))
+    g = gen_sub.add_parser("reach", parents=[output])
     g.add_argument("graph")
     g.add_argument("source", type=int)
     g.add_argument("target", type=int)
-    g.add_argument("-o", "--output", default=None)
+    g.set_defaults(make=lambda a: benchgen.gen_reachability(_graph(a.graph), a.source, a.target))
     return parser
 
 
@@ -159,6 +152,10 @@ def _load(path: str):
     return parse_program(Path(path).read_text())
 
 
+def _graph(path: str):
+    return benchgen.parse_graph(Path(path).read_text())
+
+
 def _cmd_solve(args) -> int:
     """count / enumerate / hybrid, by `args.solve(engine, args)`; wall_seconds
     runs from before the file is read, and parse_seconds (reading and
@@ -168,15 +165,13 @@ def _cmd_solve(args) -> int:
     t1 = time.perf_counter()
     pair = build_pair(program)
     setup = (t1 - t0, time.perf_counter() - t1)
+    cap = args.cache_limit_mb << 20
+    eng = Engine(pair, use_cache=not args.no_cache, cache_limit_bytes=cap, budget=args.budget)
     try:
-        cap = args.cache_limit_mb << 20
-        eng = Engine(pair, use_cache=not args.no_cache, cache_limit_bytes=cap, budget=args.budget)
         n, stats = args.solve(eng, args)
     except ResourceLimitError as e:
-        wall = time.perf_counter() - t0
-        _report(args, "exceeded", e.stats or RunStats(), wall, setup, program, pair)
-        print(str(e), file=sys.stderr)
-        return 2
+        _report(args, "exceeded", e.stats, time.perf_counter() - t0, setup, program, pair)
+        raise
     n = "exceeded" if n is None else n
     print(n)
     _report(args, n, stats, time.perf_counter() - t0, setup, program, pair)
@@ -190,13 +185,7 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    program = _load(args.file)
-    try:
-        n = brute_force_count(program, cap=args.cap)
-    except ResourceLimitError as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    print(n)
+    print(brute_force_count(_load(args.file), cap=args.cap))
     return 0
 
 
@@ -221,14 +210,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "chain":
-        program = benchgen.gen_choice_chain(args.n)
-    elif args.family == "hamiltonian":
-        program = benchgen.gen_hamiltonian(benchgen.parse_graph(Path(args.graph).read_text()))
-    else:
-        graph = benchgen.parse_graph(Path(args.graph).read_text())
-        program = benchgen.gen_reachability(graph, args.source, args.target)
-    _write_out(render_program(program), args.output)
+    """gen chain / hamiltonian / reach, by the family's `args.make(args)`."""
+    _write_out(render_program(args.make(args)), args.output)
     return 0
 
 
@@ -244,6 +227,9 @@ def run(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 1
+    except ResourceLimitError as e:  # partial stats, if any, are already out
+        print(str(e), file=sys.stderr)
+        return 2
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

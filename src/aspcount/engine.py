@@ -76,8 +76,8 @@ free non-copy variable, its literals in the component's listed clauses,
 and takes the variable with the highest count. Binary clauses do not
 count, so the count walks only the listed clauses. Ties go to the
 variable in the best-ranked separator of a nested dissection of the primal
-graph on BFS layers (George & Liu, 1978; built with the occurrence lists
-on the first `decompose`), after sharpSAT-TD's separators-first branching
+graph on BFS layers (George & Liu, 1978; built by `_build_index` on the
+first `decompose`), after sharpSAT-TD's separators-first branching
 (Korhonen & Jarvisalo, CP 2021), so a chain numbered along its length is
 split in its middle, and each half in its middle, rather than peeled from
 one end; remaining ties go to the smallest index. On `path(3000)`, `count()`
@@ -173,19 +173,9 @@ class Engine:
         self.cache_limit_bytes = cache_limit_bytes
         self.budget = budget
         self._deadline: float | None = None
-        # decompose's binary neighbour lists, occurrence lists, literal pairs
-        # and stamp arrays; built by its first call, so that enumeration and
-        # set-up never pay for them
-        self._nbrs: list[list[int]] = []
+        # the counting index (see `_build_index`), built by the first
+        # `decompose`, so that enumeration and set-up never pay for it
         self._occ: list[list[int]] | None = None
-        self._lit_pairs: list[tuple[tuple[int, int], ...]] = []
-        self._clause_mark: list[int] = []
-        self._var_mark: list[int] = []
-        self._stamp = 0
-        # decide's scores and tie ranks, built with the occurrence lists
-        self._score: list[int] = []
-        self._tie: list[int] | None = None
-        self._tie_span = 0
 
         self.stats = RunStats()
         self.reset()
@@ -331,7 +321,7 @@ class Engine:
         has an unassigned variable, from which the walk reaches it."""
         occ = self._occ
         if occ is None:
-            occ = self._build_occurrences()
+            occ = self._build_index()
         nbrs = self._nbrs
         lit_pairs = self._lit_pairs
         value = self.lit_value
@@ -371,12 +361,14 @@ class Engine:
             comps.append(Component(tuple(cvars), tuple(cids)))
         return comps
 
-    def _build_occurrences(self) -> list[list[int]]:
-        # per variable, the other variable of each binary clause holding it
-        # (build_pair makes no x | -x); per listed clause, (variable, literal
-        # slot) per canonical literal (() for the others), and per variable
-        # the listed clauses holding it. Units are never listed: at a
-        # fixpoint they are satisfied.
+    def _build_index(self) -> list[list[int]]:
+        """Builds the counting index and returns its occurrence lists. For
+        `decompose`: per variable, the other variable of each binary clause
+        holding it (build_pair makes no x | -x); per listed clause, (variable,
+        literal slot) per canonical literal (() for the others); per variable,
+        the listed clauses holding it (units are never listed: at a fixpoint
+        they are satisfied); a stamp counter and stamp arrays. For `decide`:
+        score slots and the tie ranks of `_build_tie`."""
         n = self.n_vars
         nbrs: list[list[int]] = [[] for _ in range(n)]
         occ: list[list[int]] = [[] for _ in range(n)]
@@ -394,6 +386,7 @@ class Engine:
         self._nbrs = nbrs
         self._lit_pairs = lit_pairs
         self._occ = occ
+        self._stamp = 0
         self._clause_mark = [0] * len(self.canon)
         self._var_mark = [0] * n
         self._score = [0] * n
@@ -485,8 +478,6 @@ class Engine:
     def _run(self, limit: int | None = None) -> tuple[int | None, RunStats]:
         """One search from a fresh state: counting (`_search`) when `limit`
         is None, else enumeration up to `limit` answer sets (`_enumerate`)."""
-        if limit is not None and limit < 1:
-            raise ValueError("limit must be >= 1")
         self.reset()
         if not self._apply_initial():
             return 0, self._finalize()
@@ -653,6 +644,8 @@ class Engine:
         non-copy variables, no caching and no component product; the count
         is None once more than `limit` answer sets are found. The time budget
         runs from this call."""
+        if limit < 1:
+            raise ValueError("limit must be >= 1")
         self._begin()
         return self._run(limit)
 
@@ -662,6 +655,8 @@ class Engine:
         this call, covers both phases, and one RunStats: counting adds to
         the enumeration's counters, and `path` names the phase running, also
         in a ResourceLimitError's stats."""
+        if threshold < 1:
+            raise ValueError("threshold must be >= 1")
         self._begin("enumeration")
         found, stats = self._run(threshold)
         if found is not None:

@@ -142,11 +142,13 @@ class _Parser:
         raise self._unexpected(toks, k, "an atom")
 
     def parse(self) -> Program:
+        """The program of the text; a repeated statement keeps its first
+        position. `rules` and `constraints` are dicts used as ordered sets,
+        and their Rule and Constraint objects are built at the end."""
         table = SymbolTable()
         intern = table.intern
-        rules: list[Rule] = []
-        constraints: list[Constraint] = []
-        seen_rules, seen_constraints = set(), set()
+        rules: dict[tuple, None] = {}
+        constraints: dict[tuple, None] = {}
         toks = _TOKEN.findall(self.text)
         i = 0
         while True:
@@ -156,7 +158,9 @@ class _Parser:
             if tok != ":-":
                 if tok in _NOT_ATOM:
                     if tok == "\n":
-                        return Program(table, rules, constraints)
+                        return Program(
+                            table, [Rule(*r) for r in rules], [Constraint(*c) for c in constraints]
+                        )
                     tok, toks, i = self._atom(toks, i - 1)
                 head = intern(tok)
                 tok = toks[i]
@@ -182,12 +186,9 @@ class _Parser:
                 raise self._unexpected(toks, i - 1, "'.' at end of statement")
             pos, neg = frozenset(pos), frozenset(neg)
             if head is None:
-                if (pos, neg) not in seen_constraints:
-                    seen_constraints.add((pos, neg))
-                    constraints.append(Constraint(pos, neg))
-            elif (head, pos, neg) not in seen_rules:
-                seen_rules.add((head, pos, neg))
-                rules.append(Rule(head, pos, neg))
+                constraints[pos, neg] = None
+            else:
+                rules[head, pos, neg] = None
 
 
 def parse_program(text: str) -> Program:

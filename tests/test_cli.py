@@ -200,22 +200,24 @@ def test_usage_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        pytest.param(["count", "--cache-limit-mb", "-1"], id="cache-limit-negative"),
-        pytest.param(["hybrid", "--budget", "-1"], id="budget-negative"),
-        pytest.param(["hybrid", "--budget", "nan"], id="budget-nan"),
-        pytest.param(["oracle", "--cap", "-1"], id="cap-negative"),
-        pytest.param(["enumerate", "--limit", "0"], id="limit-zero"),
-        pytest.param(["enumerate", "--limit", "-1"], id="limit-negative"),
-        pytest.param(["hybrid", "--threshold", "0"], id="threshold-zero"),
+        pytest.param(["count", "--cache-limit-mb", "-1"], "must be >= 0, got -1", id="cache-limit-negative"),
+        pytest.param(["hybrid", "--budget", "-1"], "must be >= 0, got -1.0", id="budget-negative"),
+        pytest.param(["hybrid", "--budget", "nan"], "must be >= 0, got nan", id="budget-nan"),
+        pytest.param(["oracle", "--cap", "-1"], "must be >= 0, got -1", id="cap-negative"),
+        pytest.param(["enumerate", "--limit", "0"], "must be >= 1, got 0", id="limit-zero"),
+        pytest.param(["enumerate", "--limit", "-1"], "must be >= 1, got -1", id="limit-negative"),
+        pytest.param(["enumerate", "--limit", "abc"], "invalid int value: 'abc'", id="limit-not-int"),
+        pytest.param(["hybrid", "--threshold", "0"], "must be >= 1, got 0", id="threshold-zero"),
     ],
 )
-def test_bad_numeric_option_is_usage_error(example1, capsys, argv):
+def test_bad_numeric_option_is_usage_error(example1, capsys, argv, message):
+    # the message names the option and the kind of value, never a helper
     assert run([argv[0], example1, *argv[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage error")
+    assert captured.err == f"usage error: argument {argv[1]}: {message}\n"
 
 
 @pytest.mark.parametrize(

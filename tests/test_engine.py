@@ -4,6 +4,7 @@ import random
 import sys
 import time
 import tracemalloc
+from collections import OrderedDict
 
 import pytest
 
@@ -168,11 +169,11 @@ def test_path_is_dissected_at_every_level(monkeypatch):
 
 def test_tie_ranks_are_built_by_counting_only():
     eng = Engine(_pair(path_text(10)))
-    assert eng._tie is None
+    assert eng._occ is None
     assert eng.enumerate_up_to(1000)[0] == 144
-    assert eng._tie is None
+    assert eng._occ is None
     assert eng.count()[0] == 144
-    assert eng._tie is not None
+    assert eng._occ is not None
 
 
 def test_decompose_disjoint_copies():
@@ -201,6 +202,20 @@ def test_decompose_all_satisfied_yields_free_singletons():
     assert eng.propagate() is None
     # everything satisfied: no variables left at all here
     assert eng.decompose(range(pair.n_vars)) == []
+
+
+def test_decompose_drops_a_clause_satisfied_by_its_third_literal():
+    # the constraint is the one clause a | c | e over three negation pairs;
+    # with e true and a, c unassigned, only its third literal satisfies it
+    pair = _pair(
+        "a :- not b. b :- not a. c :- not d. d :- not c. e :- not f. f :- not e.\n"
+        ":- not a, not c, not e."
+    )
+    assert pair.completion + pair.copy_clauses == [(1, 2, 3)]
+    eng = Engine(pair)
+    assert eng.assign(3)
+    assert eng.propagate() is None
+    assert eng.decompose(range(pair.n_vars)) == [((0,), ()), ((1,), ())]
 
 
 @pytest.mark.parametrize(
@@ -430,6 +445,11 @@ def test_enumerate_limit_validation():
         Engine(_pair("a.")).enumerate_up_to(0)
 
 
+def test_hybrid_threshold_validation_names_the_threshold():
+    with pytest.raises(ValueError, match="^threshold must be >= 1$"):
+        Engine(_pair("a.")).hybrid(0)
+
+
 def test_hybrid_enumeration_path():
     n, stats = Engine(_pair(EXAMPLE1)).hybrid(threshold=100_000)
     assert n == 2
@@ -622,6 +642,50 @@ def test_cache_eviction_keeps_counts_exact():
     assert stats.peak_cache_bytes <= cap
     assert stats.cache_evictions > 0 and stats.cache_entries == len(eng._cache)
     assert Engine(pair).count()[1].cache_evictions == 0
+
+
+def test_capped_cache_matches_a_reference_lru():
+    # one capped count of path(24) under a cap of four root entries, with
+    # hits and evictions: replaying its lookups and stores on a reference
+    # LRU gives the same surviving entries in the same order, evictions
+    # and peak bytes
+    events = []
+
+    class Logged(OrderedDict):
+        def get(self, key):
+            events.append((key,))
+            return super().get(key)
+
+        def __setitem__(self, key, val):
+            events.append((key, val))
+            super().__setitem__(key, val)
+
+    class Logging(Engine):
+        def reset(self):
+            super().reset()
+            self._cache = Logged()
+
+    cap = 4 * entry_bytes(Component(tuple(range(24)), ()), 0)
+    eng = Logging(_pair(path_text(24)), cache_limit_bytes=cap)
+    n, stats = eng.count()
+    assert n == 121393  # Fibonacci(26)
+    ref, size, peak, evictions, peak_after_eviction = OrderedDict(), 0, 0, 0, False
+    for key, *val in events:
+        if not val:  # a lookup; a hit becomes the most recently used
+            if key in ref:
+                ref.move_to_end(key)
+            continue
+        need = entry_bytes(key, val[0])
+        while size + need > cap:
+            size -= entry_bytes(*ref.popitem(last=False))
+            evictions += 1
+        ref[key] = val[0]
+        size += need
+        if size > peak:
+            peak, peak_after_eviction = size, evictions > 0
+    assert stats.cache_hits > 0 and evictions > 0 and peak_after_eviction
+    assert list(eng._cache.items()) == list(ref.items())
+    assert (stats.cache_evictions, stats.peak_cache_bytes) == (evictions, peak)
 
 
 @pytest.mark.parametrize(
