@@ -25,7 +25,7 @@ from .program import validate
 
 # the version of the --stats json key set; keys are only ever added, and
 # each addition raises it
-STATS_SCHEMA_VERSION = 1
+STATS_SCHEMA_VERSION = 2
 
 
 class _UsageError(Exception):
@@ -132,6 +132,7 @@ def _report(args, answer_count, stats: RunStats, wall, setup, program, pair):
         "cache_entries": stats.cache_entries,
         "cache_evictions": stats.cache_evictions,
         "peak_cache_bytes": stats.peak_cache_bytes,
+        "unfounded_literals": stats.unfounded,
         "wall_seconds": wall,
         "parse_seconds": setup[0],
         "encode_seconds": setup[1],

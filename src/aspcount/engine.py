@@ -1,14 +1,15 @@
 """Component-caching counter over the conjoined completion and copy clauses.
 
 Search skeleton: decide an unassigned non-copy variable, propagate each
-branch to fixpoint, split the parent component's unsatisfied clauses into
-variable-disjoint components, count each non-trivial one through an
-exact-key LRU cache, multiply, and sum the branches. Counting is one loop
-over an explicit stack of frames (`_search`), so its depth never meets
-Python's recursion limit. Enumeration is a loop of its own (`_enumerate`)
-over the non-copy variables in index order, with no component, cache or
-decomposition; one scan for the lowest unassigned variable both picks the
-branch variable and values the leaf (see below).
+branch to fixpoint and check it for unfounded sets, split the parent
+component's unsatisfied clauses into variable-disjoint components, count
+each non-trivial one through an exact-key LRU cache, multiply, and sum the
+branches. Counting is one loop over an explicit stack of frames
+(`_search`), so its depth never meets Python's recursion limit.
+Enumeration is a loop of its own (`_enumerate`) over the non-copy
+variables in index order, with no component, cache, decomposition or
+unfounded-set check; one scan for the lowest unassigned variable both
+picks the branch variable and values the leaf (see below).
 
 A component is (vars, listed clause ids): its sorted unassigned variables
 and the ascending ids of its unsatisfied listed clauses, those of three or
@@ -56,18 +57,51 @@ some body of x not false, and by (i) that rule's copy clause has no true
 literal. Either way x' is in an unsatisfied clause, which at a fixpoint has
 another unassigned variable: no copy is ever a free singleton.
 
-When counting, two kinds of component are valued before the cache, which
-so holds only components the search branched on. One variable is a free
-singleton (at a fixpoint, a clause with one unassigned variable is
-satisfied), a non-copy by the above, worth 2. More variables hold a
-clause; with a copy first, no non-copy is left to branch on, and the
-component is worth 0, as every clause of a fresh component is unsatisfied
-(a loop with no external justification).
+Count mode also checks for unfounded sets (`_unfounded`), after every
+conflict-free propagation and once at the root. Each rule clause whose
+positive copy literal is x' is one support of x; it holds while no literal
+but x' is true, and it is founded when its body copies are founded in turn.
+For a copy that is not false and has no founded support, the check
+falsifies L[x] and propagates again; it is a conflict when L[x] is true
+or fixed true. This is sound: a copy becomes true only by a derivation
+along the trail, through a founded support, so a copy with none now is
+never true below, and every answer set below, which assigns every copy,
+has x' false and so, by (i), L[x] false. The check thus derives only
+literals true in every answer set extending the assignment, and a branch
+it ends counts 0 either way. The cache stays exact: a copy's foundedness
+reads only the unsatisfied clauses that hold x' (a support with a true
+literal is satisfied, and a true copy is founded), and those lie inside its
+component, so the check derives no literal in a sibling component, and a
+component's value is still a function of its key.
+
+Foundedness is kept by source pointers: `_src[x]` is one support of x that
+holds, and whose body copies have sources. A copy that is not false loses
+its source when a literal kills it or when it reads a copy that lost its
+own; only those copies re-seek one, and a copy that finds none keeps its
+old pointer. A new source reads no lost copy, so sources form no cycle. A
+support that holds still holds once assignments are undone, and a literal
+that kills a copy's source is scanned by the check that completes its
+fixpoint, which re-seeks the copy or leaves it unfounded and false, unless
+it was false already. So at every fixpoint the search returns to, each
+copy that is not false has a source that holds, and no pointer is restored
+on backtracking.
+
+Hence count mode meets no component whose first variable is a copy. In
+one, all copies, take the copy x' lowest in the source DAG. Its source
+holds and is unsatisfied, so its non-copy variables, outside the
+component, are assigned and false, and its body copies, not false and
+not in the component below x', are true: the source is unit on x', which
+the fixpoint would have set true. The one component valued before the
+cache, which so holds only components the search branched on, is the free
+singleton, a non-copy by the above, worth 2 (at a fixpoint, a clause with
+one unassigned variable is satisfied). Every other component has a
+non-copy to branch on, and a branch with no component left has every
+variable assigned and every clause satisfied: an answer.
 
 Enumeration reads its leaves off the copies. At a leaf, every non-copy
-variable assigned, an unassigned copy x' has L[x] true, and the copy
-clause above has no true literal: the leaf is no answer. A leaf with every
-variable assigned satisfies every clause: it is an answer. The first
+variable assigned, an unassigned copy x' has L[x] true, and, as shown
+above, some copy clause of x has no true literal: the leaf is no answer. A leaf with
+every variable assigned satisfies every clause: it is an answer. The first
 unassigned variable from the last branch variable on is thus a non-copy to
 branch on, a copy (the leaf is worth 0) or none (the leaf is an answer).
 
@@ -111,6 +145,7 @@ class RunStats:
     cache_entries: int = 0
     cache_evictions: int = 0
     peak_cache_bytes: int = 0
+    unfounded: int = 0  # literals the unfounded-set check derived
     path: str = ""  # set by hybrid(): "enumeration" or "counting"
 
     @property
@@ -391,7 +426,127 @@ class Engine:
         self._var_mark = [0] * n
         self._score = [0] * n
         self._build_tie()
+        self._build_supports()
         return occ
+
+    def _build_supports(self):
+        """The supports of the unfounded-set check (see `_unfounded`), read
+        off the copy clauses. A copy x' is named by the slot of -x', which
+        is below `n_vars - first_copy`, and is true when x' is false. A
+        clause whose positive copy literal is x' is one support of x: the
+        copies are the last variables, so x' is its largest literal, and its
+        other literals are the negated body, a body copy b as -b'. Per
+        support: its head and the slots of its other literals; per copy: its
+        supports, and the slot of L[x] from its clause -x' | L[x] (None when
+        L[x] is fixed true, as there is then no such clause); per literal
+        slot: the supports holding that literal beside the head, which it
+        kills when true, so that a copy's slot lists the supports reading
+        it."""
+        n = self.n_vars
+        first_copy = self.first_copy
+        heads: list[int] = []
+        others: list[tuple[int, ...]] = []
+        supports: list[list[int]] = [[] for _ in range(n - first_copy)]
+        atom_slot: list[int | None] = [None] * (n - first_copy)
+        kills: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        for c in self.canon:
+            if not c or abs(c[-1]) <= first_copy:  # no copy: sorted by variable
+                continue
+            h = max(c)
+            if h > first_copy:
+                s = len(heads)
+                heads.append(n - h)
+                rest = tuple([l + n for l in c if l != h])
+                others.append(rest)
+                supports[n - h].append(s)
+                for slot in rest:
+                    kills[slot].append(s)
+            elif len(c) == 2:  # L[x] | -x'
+                atom_slot[n + c[1]] = c[0] + n
+        self._sup_head = heads
+        self._sup_lits = others
+        self._supports = supports
+        self._atom_slot = atom_slot
+        self._kills = kills
+        self._slot_mark = [0] * (2 * n + 1)
+
+    def _unfounded(self, start: int, lost: list[int]) -> int | None:
+        """The unfounded-set check of count mode, by source pointers (Gebser,
+        Kaufmann & Schaub, AIJ 2012; Simons, Niemelae & Soininen, AIJ 2002),
+        over the supports of `_build_supports`: run at a conflict-free
+        fixpoint, it falsifies L[x] for each copy x' with no founded support
+        and propagates again, until no trail literal is left to scan.
+        Returns None, or on a conflict the literal x' of a copy left
+        unfounded while L[x] is true or fixed true.
+
+        `_src[x]` is x's source: a support with no true literal beside its
+        head, whose body copies have sources, so that sources form no cycle.
+        The copies to re-seek are `lost` (at the root, every copy not false)
+        and, among the copies not false, each whose source a trail literal
+        from `start` on makes true, or whose source reads a copy to re-seek;
+        the trail before `start` is a fixpoint the check has seen. A copy
+        that finds no source keeps its old one, so no pointer is restored
+        when the search backtracks (see the module docstring)."""
+        value = self.lit_value
+        trail = self.trail
+        n = self.n_vars
+        heads = self._sup_head
+        others = self._sup_lits
+        supports = self._supports
+        atom_slot = self._atom_slot
+        kills = self._kills
+        src = self._src
+        mark = self._slot_mark
+        while True:
+            self._stamp += 1
+            stamp = self._stamp  # marks the copies lost this round
+            for x in lost:
+                mark[x] = stamp
+            for lit in trail[start:]:
+                for s in kills[n + lit]:
+                    x = heads[s]
+                    if src[x] == s and mark[x] != stamp and value[x] != 1:
+                        mark[x] = stamp
+                        lost.append(x)
+            if not lost:
+                return None
+            for b in lost:  # grows: a source reading a lost copy is lost
+                for s in kills[b]:
+                    x = heads[s]
+                    if src[x] == s and mark[x] != stamp and value[x] != 1:
+                        mark[x] = stamp
+                        lost.append(x)
+            # try each support of each lost copy, and once a copy finds a
+            # source, again each support that reads it
+            todo = [s for x in lost for s in supports[x]]
+            for s in todo:  # grows
+                x = heads[s]
+                if mark[x] != stamp:
+                    continue  # found a source already
+                for slot in others[s]:
+                    if value[slot] == 1 or mark[slot] == stamp:
+                        break  # killed, or reads a lost copy
+                else:
+                    src[x] = s
+                    mark[x] = 0
+                    todo += kills[x]
+            start = len(trail)
+            for x in lost:
+                if mark[x] == stamp:  # unfounded
+                    slot = atom_slot[x]
+                    if slot is None or value[slot] == 1:
+                        return n - x
+                    if value[slot] == -1:
+                        value[slot] = 0
+                        value[2 * n - slot] = 1
+                        trail.append(n - slot)
+            if len(trail) == start:
+                return None
+            self.stats.unfounded += len(trail) - start
+            conflict = self.propagate()
+            if conflict is not None:
+                return conflict
+            lost = []
 
     def decide(self, comp: Component) -> int:
         """Free non-copy variable of `comp` with the most literals in the
@@ -476,14 +631,23 @@ class Engine:
         self.stats = RunStats(path=path)
 
     def _run(self, limit: int | None = None) -> tuple[int | None, RunStats]:
-        """One search from a fresh state: counting (`_search`) when `limit`
-        is None, else enumeration up to `limit` answer sets (`_enumerate`)."""
+        """One search from a fresh state: counting (`_search`), after the
+        root's unfounded-set check, when `limit` is None, else enumeration up
+        to `limit` answer sets (`_enumerate`)."""
         self.reset()
         if not self._apply_initial():
             return 0, self._finalize()
-        if limit is None:
-            return self._search(self.decompose(range(self.n_vars))), self._finalize()
-        return self._enumerate(limit), self._finalize()
+        if limit is not None:
+            return self._enumerate(limit), self._finalize()
+        if self._occ is None:
+            self._build_index()
+        # no copy has a source yet, so every copy not false is re-sought
+        n_copies = self.n_vars - self.first_copy
+        self._src = [-1] * n_copies
+        lost = [x for x in range(n_copies) if self.lit_value[x] != 1]
+        if self._unfounded(len(self.trail), lost) is not None:
+            return 0, self._finalize()
+        return self._search(self.decompose(range(self.n_vars))), self._finalize()
 
     def _finalize(self) -> RunStats:
         self.stats.cache_entries = len(self._cache)
@@ -514,9 +678,10 @@ class Engine:
     def _search(self, roots) -> int:
         """Product of the values of the components `roots`, by a depth-first
         search over one explicit stack of frames, one per component branched
-        on; the frame on top lives in local variables. Trivial components
-        are valued on the spot, the others looked up in the cache, each
-        branch split by `decompose`, and the sum of both branches cached.
+        on; the frame on top lives in local variables. Free singletons are
+        valued on the spot, the others looked up in the cache, each branch
+        propagated, checked for unfounded sets when the pair has a copy, and
+        split by `decompose`, and the sum of both branches cached.
 
         A frame holds its component (None for the root frame), trail mark,
         sum over its finished branches, and its open branch's components,
@@ -529,11 +694,11 @@ class Engine:
         n = self.n_vars
         trail = self.trail
         stats = self.stats
-        first_copy = self.first_copy
         cache = self._cache
         decompose = self.decompose
         decide = self.decide
         propagate = self.propagate
+        unfounded = self._unfounded if self.first_copy < n else None  # no copy: no support
         backtrack = self.backtrack
         check_deadline = self._check_deadline
         store = self._store
@@ -546,14 +711,10 @@ class Engine:
             if prod and i < len(subs):
                 sub = subs[i]
                 i += 1
-                # before the cache (see the module docstring): a free
-                # singleton, always a non-copy, and a component with no
-                # non-copy variable
+                # before the cache: a free singleton, always a non-copy (see
+                # the module docstring)
                 if len(sub.vars) == 1:
                     prod *= 2
-                    continue
-                if sub.vars[0] >= first_copy:
-                    prod = 0
                     continue
                 if caching:
                     stats.cache_lookups += 1
@@ -587,7 +748,7 @@ class Engine:
             value[n - lit] = 0
             trail.append(lit)
             stats.decisions += 1
-            if propagate() is None:
+            if propagate() is None and (unfounded is None or unfounded(mark, []) is None):
                 subs = decompose(comp.vars)
                 i, prod = 0, 1
             else:

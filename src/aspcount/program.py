@@ -95,8 +95,8 @@ def _format_body(program: Program, pos, neg) -> str:
 def validate(program: Program) -> list[str]:
     """Non-mutating lint pass; returns human-readable warnings.
 
-    Flags rules whose body can never hold, atoms that never appear in a rule
-    head (the completion forces them false), and duplicate rules/constraints.
+    Flags rules whose body can never hold, and atoms that never appear in a
+    rule head (the completion forces them false).
     """
     warnings = []
     heads = {r.head for r in program.rules}
@@ -112,16 +112,4 @@ def validate(program: Program) -> list[str]:
         warnings.append(
             "never-in-head: %s (completion forces it false)" % program.symbol(atom)
         )
-    seen = set()
-    for r in program.rules:
-        key = (r.head, r.pos_body, r.neg_body)
-        if key in seen:
-            warnings.append("duplicate-rule: " + format_rule(program, r))
-        seen.add(key)
-    seen_c = set()
-    for c in program.constraints:
-        key = (c.pos, c.neg)
-        if key in seen_c:
-            warnings.append("duplicate-constraint: " + format_constraint(program, c))
-        seen_c.add(key)
     return warnings

@@ -27,6 +27,7 @@ REPORT_KEYS = {
     "cache_entries",
     "cache_evictions",
     "peak_cache_bytes",
+    "unfounded_literals",
     "wall_seconds",
     "parse_seconds",
     "encode_seconds",
@@ -61,7 +62,7 @@ def test_count_stats_json_schema(example1, capsys):
     assert captured.out == "2\n"
     doc = json.loads(captured.err.strip())
     assert set(doc) == REPORT_KEYS
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["mode"] == "count"
     assert doc["answer_count"] == "2"
     assert doc["tight"] is False
@@ -74,6 +75,13 @@ def test_count_stats_json_schema(example1, capsys):
     assert doc["cache_evictions"] == 0  # far below the 1024 MB cap
     assert doc["parse_seconds"] >= 0 and doc["encode_seconds"] >= 0
     assert doc["parse_seconds"] + doc["encode_seconds"] <= doc["wall_seconds"]
+    # the unfounded-set check falsifies c and d on the branch where b holds,
+    # and runs only in count mode
+    assert doc["unfounded_literals"] == 2
+    assert run(["enumerate", example1, "--stats", "json"]) == 0
+    doc = json.loads(capsys.readouterr().err.strip())
+    assert set(doc) == REPORT_KEYS
+    assert doc["unfounded_literals"] == 0
 
 
 def test_analyze(example1, capsys):

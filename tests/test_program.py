@@ -1,7 +1,7 @@
 import pytest
 
 from aspcount import brute_force_count, parse_program, validate
-from aspcount.program import Constraint, Program, Rule, SymbolTable
+from aspcount.program import Program, Rule, SymbolTable
 
 from helpers import EXAMPLE1, id_of
 
@@ -54,22 +54,6 @@ def test_validate_body_only_atom():
 
 def test_validate_empty_program():
     assert validate(parse_program("")) == []
-
-
-def test_validate_duplicate_rule():
-    t = SymbolTable()
-    a, b = t.intern("a"), t.intern("b")
-    r = Rule(a, frozenset({b}), frozenset())
-    p = Program(t, [r, r], [])
-    assert any(w.startswith("duplicate-rule") for w in validate(p))
-
-
-def test_validate_duplicate_constraint():
-    t = SymbolTable()
-    a, b = t.intern("a"), t.intern("b")
-    c = Constraint(frozenset({a}), frozenset({b}))
-    p = Program(t, [Rule(a, frozenset(), frozenset({b}))], [c, c])
-    assert any(w.startswith("duplicate-constraint:") for w in validate(p))
 
 
 def test_duplicate_rules_do_not_change_count():
