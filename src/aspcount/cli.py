@@ -55,6 +55,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--stats", choices=["json", "none"], default="none")
     common.add_argument("--no-cache", action="store_true")
     common.add_argument("--cache-limit-mb", type=_at_least(int, 0), default=1024)
+    common.add_argument("--budget", type=_at_least(float, 0), default=None, help="total seconds")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("-o", "--output", default=None)
 
@@ -63,17 +64,16 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("count", parents=[common], help="exact answer-set count")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_solve, solve=lambda e, a: e.count(), budget=None)
+    p.set_defaults(handler=_cmd_solve, solve=lambda e, a: e.count())
 
     p = sub.add_parser("enumerate", parents=[common], help="count by enumeration up to a limit")
     p.add_argument("file")
     p.add_argument("--limit", type=_at_least(int, 1), default=DEFAULT_ENUM_THRESHOLD)
-    p.set_defaults(handler=_cmd_solve, solve=lambda e, a: e.enumerate_up_to(a.limit), budget=None)
+    p.set_defaults(handler=_cmd_solve, solve=lambda e, a: e.enumerate_up_to(a.limit))
 
     p = sub.add_parser("hybrid", parents=[common], help="enumerate, fall back to counting")
     p.add_argument("file")
     p.add_argument("--threshold", type=_at_least(int, 1), default=DEFAULT_ENUM_THRESHOLD)
-    p.add_argument("--budget", type=_at_least(float, 0), default=None, help="total seconds")
     p.set_defaults(handler=_cmd_solve, solve=lambda e, a: e.hybrid(a.threshold))
 
     p = sub.add_parser("translate", parents=[output], help="emit annotated DIMACS")

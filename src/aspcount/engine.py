@@ -11,18 +11,25 @@ variables in index order, with no component, cache, decomposition or
 unfounded-set check; one scan for the lowest unassigned variable both
 picks the branch variable and values the leaf (see below).
 
-A component is (vars, listed clause ids): its sorted unassigned variables
-and the ascending ids of its unsatisfied listed clauses, those of three or
-more literals. A binary clause is implied by the variables, as in sharpSAT
-(Thurley, SAT 2006): at a conflict-free fixpoint it is unsatisfied exactly
-when both its variables are unassigned. `decompose` finds components by
-walking, from each reached variable, its binary neighbours and the
-occurrence lists of its listed clauses. A component is its own cache key,
-and it is exact: equal variable sets hold the same unsatisfied binary
-clauses, and a listed clause in the key is unsatisfied with all its assigned
-literals false, so its residual is its canonical literals restricted to the
-component's variables. The cache cap charges an entry 8 bytes per variable
-and clause id (a tuple slot) plus a fixed overhead (see `entry_bytes`).
+A component is two ints, after sharpSAT's packed components (Thurley, SAT
+2006): the mask of its unassigned variables and the mask of its unsatisfied
+listed clauses, those of three or more literals (bit k for the k-th in
+`canon`). A binary clause is implied by the variables: at a conflict-free
+fixpoint it is unsatisfied exactly when both its variables are unassigned.
+A branch takes its component's masks less each variable of the trail from
+its branch literal on, and less each listed clause a true trail literal
+holds, with no clause tested. This drops nothing from a sibling component,
+as every literal of the branch is over the component's variables: a
+propagated literal is the last open one of a clause that a false literal of
+the branch left unit, unsatisfied at the parent's fixpoint and so the
+component's, and the unfounded-set check derives no literal in a sibling
+(see below). `decompose` floods what is left by binary neighbours and the
+variables of the listed clauses it meets. The pair of masks is the exact
+cache key: equal variable masks hold the same unsatisfied binary clauses,
+and a listed clause in the mask has all its assigned literals false, so its
+residual is its literals over the component's variables. The cache cap
+charges an entry a byte per 8 bits of its masks and value, plus a fixed
+overhead (see `entry_bytes`).
 
 The assignment is one array indexed by literal, as in MiniSat (Een &
 Sorensson, SAT 2003): `lit_value[lit + n_vars]` is 1 (true), 0 (false) or
@@ -38,8 +45,8 @@ needed it true.
 
 Copy variables, the block from `first_copy` up (see `encode.VarTable`),
 are propagated but never decided, enumerated or assumed, so every copy on
-the trail was propagated. A component's variables are sorted, so its
-non-copies are the prefix below `first_copy`. Both searches read the copies
+the trail was propagated, and a component's non-copies are the bits of
+its variable mask below `first_copy`. Both searches read the copies
 alike: at a conflict-free fixpoint, a copy a' is false exactly when its
 atom's literal L[a] is false:
   (i)  if a' is false, so is L[a]. Otherwise take the first copy a' on
@@ -105,28 +112,26 @@ every variable assigned satisfies every clause: it is an answer. The first
 unassigned variable from the last branch variable on is thus a non-copy to
 branch on, a copy (the leaf is worth 0) or none (the leaf is an answer).
 
-Branching reads only the component it is handed: `decide` counts, per
-free non-copy variable, its literals in the component's listed clauses,
-and takes the variable with the highest count. Binary clauses do not
-count, so the count walks only the listed clauses. Ties go to the
-variable in the best-ranked separator of a nested dissection of the primal
-graph on BFS layers (George & Liu, 1978; built by `_build_index` on the
-first `decompose`), after sharpSAT-TD's separators-first branching
-(Korhonen & Jarvisalo, CP 2021), so a chain numbered along its length is
-split in its middle, and each half in its middle, rather than peeled from
-one end; remaining ties go to the smallest index. On `path(3000)`, `count()`
-makes 10 012 decisions in 0.13-0.24 s, and parsing plus `build_pair` add
-about 0.1 s (the median of 7-9 timed runs in one process, over five
-processes; Python 3.11 on a 2-core shared VM, raw `perf_counter` seconds).
+Branching reads only the component it is handed: `decide` scores each
+free non-copy variable by its literals in the component's listed clauses
+(a popcount of two masks; binary clauses do not count) and takes the
+highest score. Ties go to the variable in the best-ranked separator of a
+nested dissection of the primal graph on BFS layers (George & Liu, 1978;
+built by `_build_index` on the first `decompose`), after sharpSAT-TD's
+separators-first branching (Korhonen & Jarvisalo, CP 2021), so a chain
+numbered along its length is split in its middle, and each half in its
+middle, rather than peeled from one end; remaining ties go to the smallest
+index. On `path(3000)`, `count()` makes 10 012 decisions in 0.12-0.21 s,
+and parsing plus `build_pair` add about 0.1 s (the median of 7 timed runs
+in one process, over five processes; Python 3.11 on a 2-core shared VM,
+raw `perf_counter` seconds).
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .encode import PairFormula
 from .errors import ResourceLimitError
@@ -155,17 +160,11 @@ class RunStats:
         return 100.0 * self.cache_hits / self.cache_lookups
 
 
-class Component(NamedTuple):
-    """Its own exact cache key (see the module docstring and `entry_bytes`)."""
-    vars: tuple[int, ...]  # sorted, all unassigned at creation
-    clause_idxs: tuple[int, ...]  # its unsatisfied listed clauses, ascending
-
-
-def entry_bytes(comp: Component, val: int) -> int:
-    """Cache cap charge for comp -> val: 8 bytes per variable and clause id, and
-    200 (fit with `tracemalloc`) for the Component, its tuple headers, the
-    OrderedDict entry and the value."""
-    return 8 * (len(comp.vars) + len(comp.clause_idxs)) + 200 + (val.bit_length() >> 3)
+def entry_bytes(comp: tuple[int, int], val: int) -> int:
+    """Cache cap charge for comp -> val: a byte per 8 bits of its two masks
+    and of the value, and 180 (fit with `tracemalloc`) for the key's tuple,
+    the three ints' headers and the OrderedDict entry."""
+    return ((comp[0].bit_length() + comp[1].bit_length() + val.bit_length()) >> 3) + 180
 
 
 class Engine:
@@ -210,7 +209,7 @@ class Engine:
         self._deadline: float | None = None
         # the counting index (see `_build_index`), built by the first
         # `decompose`, so that enumeration and set-up never pay for it
-        self._occ: list[list[int]] | None = None
+        self._occ: list[int] | None = None
 
         self.stats = RunStats()
         self.reset()
@@ -223,7 +222,7 @@ class Engine:
         self.lit_value = [-1] * (2 * self.n_vars + 1)
         self.trail: list[int] = []
         self.qhead = 0
-        self._cache: OrderedDict[Component, int] = OrderedDict()
+        self._cache: OrderedDict[tuple[int, int], int] = OrderedDict()
         self._cache_bytes = 0
 
     def assign(self, lit: int) -> bool:
@@ -341,90 +340,81 @@ class Engine:
 
     # -- decomposition & branching -----------------------------------------
 
-    def decompose(self, variables) -> list[Component]:
-        """Variable-disjoint components over the unassigned variables among
-        `variables`, in ascending order of their smallest variable, each with
-        its unsatisfied listed clauses; unassigned variables in no
-        unsatisfied clause come back as free singletons.
-
-        `variables` is every variable, or a component's at an earlier
-        fixpoint on this branch. Satisfaction only grows down the search
-        tree, so an unsatisfied clause holding one of them was then that
-        component's, and the walk never leaves them. Needs a conflict-free
-        propagation fixpoint: a binary clause is then unsatisfied exactly
-        when both its variables are unassigned, and any unsatisfied clause
-        has an unassigned variable, from which the walk reaches it."""
+    def decompose(self, comp: tuple[int, int], mark: int) -> list[tuple[int, int]]:
+        """The components of the branch of `comp` whose literals are
+        `trail[mark:]` (see the module docstring), in ascending order of their
+        lowest variable; its variables in no unsatisfied clause come back as
+        free singletons. `comp` is a component at an earlier fixpoint on this
+        branch, or every variable and listed clause with `mark` 0. Needs a
+        conflict-free fixpoint, where any unsatisfied clause has an
+        unassigned variable, from which the flood reaches it."""
         occ = self._occ
         if occ is None:
             occ = self._build_index()
         nbrs = self._nbrs
-        lit_pairs = self._lit_pairs
-        value = self.lit_value
-        cmark = self._clause_mark
-        vmark = self._var_mark
-        pos = self.n_vars + 1  # variable v's literal v + 1 has the slot pos + v
-        self._stamp += 1
-        seen = self._stamp  # clause checked, or variable reached, this call
+        clause_vars = self._clause_vars
+        sat = self._sat
+        n = self.n_vars
+        rest, clauses = comp
+        done = 0  # listed clauses the trail satisfies
+        for lit in self.trail[mark:]:
+            rest ^= 1 << (lit if lit > 0 else -lit) - 1
+            done |= sat[n + lit]
+        clauses &= ~done
         comps = []
-        for v in variables:
-            if value[pos + v] != -1 or vmark[v] == seen:
-                continue
-            vmark[v] = seen
-            cvars = [v]
-            cids = []
-            for u in cvars:  # grows while the walk reaches new variables
-                for w in nbrs[u]:
-                    if value[pos + w] == -1 and vmark[w] != seen:
-                        vmark[w] = seen
-                        cvars.append(w)
-                for ci in occ[u]:
-                    if cmark[ci] == seen:
-                        continue
-                    cmark[ci] = seen
-                    pairs = lit_pairs[ci]
-                    for _, s in pairs:
-                        if value[s] == 1:
-                            break  # satisfied
-                    else:
-                        cids.append(ci)
-                        for w, s in pairs:
-                            if value[s] == -1 and vmark[w] != seen:
-                                vmark[w] = seen
-                                cvars.append(w)
-            cvars.sort()
-            cids.sort()
-            comps.append(Component(tuple(cvars), tuple(cids)))
+        while rest:
+            front = rest & -rest  # the lowest variable left
+            left = rest ^ front
+            found = 0
+            while front:  # one level of the flood
+                reach = 0
+                while front:
+                    v = front.bit_length() - 1
+                    front ^= 1 << v
+                    reach |= nbrs[v]
+                    met = occ[v] & clauses
+                    if met:
+                        clauses ^= met
+                        found |= met
+                        while met:
+                            k = met.bit_length() - 1
+                            met ^= 1 << k
+                            reach |= clause_vars[k]
+                front = reach & left
+                left ^= front
+            comps.append((rest ^ left, found))
+            rest = left
         return comps
 
-    def _build_index(self) -> list[list[int]]:
-        """Builds the counting index and returns its occurrence lists. For
-        `decompose`: per variable, the other variable of each binary clause
-        holding it (build_pair makes no x | -x); per listed clause, (variable,
-        literal slot) per canonical literal (() for the others); per variable,
-        the listed clauses holding it (units are never listed: at a fixpoint
-        they are satisfied); a stamp counter and stamp arrays. For `decide`:
-        score slots and the tie ranks of `_build_tie`."""
+    def _build_index(self) -> list[int]:
+        """Builds the counting index and returns its occurrence masks. Per
+        variable: the mask of its binary neighbours (build_pair makes no
+        x | -x) and of the listed clauses holding it (units are never listed:
+        at a fixpoint they are satisfied); per listed clause, the mask of its
+        variables; per literal slot, the mask of the listed clauses it
+        satisfies. Then the tie ranks and the supports of `_unfounded`."""
         n = self.n_vars
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        occ: list[list[int]] = [[] for _ in range(n)]
-        lit_pairs: list[tuple[tuple[int, int], ...]] = [()] * len(self.canon)
-        for ci, c in enumerate(self.canon):
+        nbrs = [0] * n
+        occ = [0] * n
+        sat = [0] * (2 * n + 1)
+        clause_vars: list[int] = []
+        for c in self.canon:
             if len(c) == 2:
-                a = abs(c[0]) - 1
-                b = abs(c[1]) - 1
-                nbrs[a].append(b)
-                nbrs[b].append(a)
+                a, b = abs(c[0]) - 1, abs(c[1]) - 1
+                nbrs[a] |= 1 << b
+                nbrs[b] |= 1 << a
             elif len(c) > 2:
-                pairs = lit_pairs[ci] = tuple((abs(l) - 1, l + n) for l in c)
-                for w, _ in pairs:
-                    occ[w].append(ci)
+                bit = 1 << len(clause_vars)
+                vs = 0
+                for l in c:
+                    occ[abs(l) - 1] |= bit
+                    sat[l + n] |= bit
+                    vs |= 1 << abs(l) - 1
+                clause_vars.append(vs)
         self._nbrs = nbrs
-        self._lit_pairs = lit_pairs
+        self._clause_vars = clause_vars
+        self._sat = sat
         self._occ = occ
-        self._stamp = 0
-        self._clause_mark = [0] * len(self.canon)
-        self._var_mark = [0] * n
-        self._score = [0] * n
         self._build_tie()
         self._build_supports()
         return occ
@@ -469,6 +459,7 @@ class Engine:
         self._atom_slot = atom_slot
         self._kills = kills
         self._slot_mark = [0] * (2 * n + 1)
+        self._stamp = 0
 
     def _unfounded(self, start: int, lost: list[int]) -> int | None:
         """The unfounded-set check of count mode, by source pointers (Gebser,
@@ -548,25 +539,29 @@ class Engine:
                 return conflict
             lost = []
 
-    def decide(self, comp: Component) -> int:
+    def decide(self, comp: tuple[int, int]) -> int:
         """Free non-copy variable of `comp` with the most literals in the
         component's listed clauses (binary clauses do not count). Ties go to
         the lowest BFS-layer rank (see `_build_tie`), then to the smallest
-        index. Needs the occurrence lists of a first `decompose`, and a free
-        non-copy variable in `comp`."""
-        free = comp.vars[: bisect_left(comp.vars, self.first_copy)]
-        score = self._score
-        for v in free:
-            score[v] = 0
-        lit_pairs = self._lit_pairs
-        for ci in comp.clause_idxs:
-            for w, _ in lit_pairs[ci]:
-                score[w] += 1  # read below only for the free variables
-        tie = self._tie
-        span = self._tie_span
+        index. Needs the index of a first `decompose`, and a free non-copy
+        variable in `comp`."""
+        free, clauses = comp
+        free &= self._non_copies
+        if not clauses:  # every score is 0: the best rank's lowest variable
+            for layer in self._rank_masks:
+                layer &= free
+                if layer:
+                    return (layer & -layer).bit_length() - 1
+        occ, tie, span = self._occ, self._tie, self._tie_span
         # one int per candidate, ordered by (score, -rank, -index); the
         # variable is its key modulo first_copy, negated
-        top = max([score[v] * span + tie[v] for v in free])
+        top = -span
+        while free:
+            v = free.bit_length() - 1
+            free ^= 1 << v
+            key = (occ[v] & clauses).bit_count() * span + tie[v]
+            if key > top:
+                top = key
         return -top % self.first_copy
 
     def _build_tie(self):
@@ -579,42 +574,45 @@ class Engine:
         the layers before it from those after it. Recursive bisection of the
         piece's distance range ranks the layers: the middle layer 0, the
         middles of the two halves 1, and so on, so the separators of the
-        largest pieces rank first. A variable takes its layer's rank, and
-        `_tie[v]` is -(rank * first_copy + v)."""
+        largest pieces rank first. A variable takes its layer's rank;
+        `_tie[v]` is -(rank * first_copy + v), and `_rank_masks[r]` the mask
+        of the variables of rank r."""
         n = self.first_copy
-        nbrs = self._nbrs
-        occ = self._occ
-        lit_pairs = self._lit_pairs
-        dist = [-1] * n  # BFS distance, then rank once the piece is ranked
-        for root in range(n):
-            if dist[root] != -1:
-                continue
-            dist[root] = 0
-            piece = [root]
-            for u in piece:  # grows while the BFS reaches new variables
-                d = dist[u] + 1
-                for w in nbrs[u]:
-                    if w < n and dist[w] == -1:
-                        dist[w] = d
-                        piece.append(w)
-                for ci in occ[u]:
-                    for w, _ in lit_pairs[ci]:
-                        if w < n and dist[w] == -1:
-                            dist[w] = d
-                            piece.append(w)
-            # BFS order is distance order, so the last variable is the farthest
-            layer_rank = [0] * (dist[piece[-1]] + 1)
-            todo = [(0, len(layer_rank) - 1, 0)]
+        nbrs, occ, clause_vars = self._nbrs, self._occ, self._clause_vars
+        self._non_copies = unseen = (1 << n) - 1
+        rank_masks = [0] * n.bit_length()  # bisection depth is below it
+        while unseen:
+            front = unseen & -unseen  # the piece's lowest variable
+            layers = []
+            while front:
+                unseen ^= front
+                layers.append(front)
+                reach = 0
+                while front:
+                    v = front.bit_length() - 1
+                    front ^= 1 << v
+                    reach |= nbrs[v]
+                    met = occ[v]
+                    while met:
+                        k = met.bit_length() - 1
+                        met ^= 1 << k
+                        reach |= clause_vars[k]
+                front = reach & unseen
+            todo = [(0, len(layers) - 1, 0)]
             while todo:
                 lo, hi, r = todo.pop()
                 if lo <= hi:
                     mid = (lo + hi) // 2
-                    layer_rank[mid] = r
+                    rank_masks[r] |= layers[mid]
                     todo += (lo, mid - 1, r + 1), (mid + 1, hi, r + 1)
-            for u in piece:
-                dist[u] = layer_rank[dist[u]]
-        self._tie_span = (max(dist, default=0) + 1) * n
-        self._tie = [-(dist[v] * n + v) for v in range(n)]
+        self._tie = tie = [0] * n
+        for r, layer in enumerate(rank_masks):
+            while layer:
+                v = layer.bit_length() - 1
+                layer ^= 1 << v
+                tie[v] = -(r * n + v)
+        self._rank_masks = rank_masks
+        self._tie_span = len(rank_masks) * n
 
     # -- search ------------------------------------------------------------
 
@@ -641,13 +639,14 @@ class Engine:
             return self._enumerate(limit), self._finalize()
         if self._occ is None:
             self._build_index()
+        root = ((1 << self.n_vars) - 1, (1 << len(self._clause_vars)) - 1)
         # no copy has a source yet, so every copy not false is re-sought
         n_copies = self.n_vars - self.first_copy
         self._src = [-1] * n_copies
         lost = [x for x in range(n_copies) if self.lit_value[x] != 1]
         if self._unfounded(len(self.trail), lost) is not None:
             return 0, self._finalize()
-        return self._search(self.decompose(range(self.n_vars))), self._finalize()
+        return self._search(self.decompose(root, 0)), self._finalize()
 
     def _finalize(self) -> RunStats:
         self.stats.cache_entries = len(self._cache)
@@ -657,7 +656,7 @@ class Engine:
         if self._deadline is not None and time.perf_counter() >= self._deadline:
             raise ResourceLimitError("time budget exhausted", self._finalize())
 
-    def _store(self, comp: Component, val: int):
+    def _store(self, comp: tuple[int, int], val: int):
         """Caches one component value, evicting least recently used entries
         to stay under the byte cap (see `entry_bytes`); an entry larger than
         the cap alone raises before anything is evicted."""
@@ -713,7 +712,8 @@ class Engine:
                 i += 1
                 # before the cache: a free singleton, always a non-copy (see
                 # the module docstring)
-                if len(sub.vars) == 1:
+                vs = sub[0]
+                if not vs & (vs - 1):
                     prod *= 2
                     continue
                 if caching:
@@ -749,7 +749,7 @@ class Engine:
             trail.append(lit)
             stats.decisions += 1
             if propagate() is None and (unfounded is None or unfounded(mark, []) is None):
-                subs = decompose(comp.vars)
+                subs = decompose(comp, mark)
                 i, prod = 0, 1
             else:
                 # the branch is worth 0; as components come only from a

@@ -84,6 +84,29 @@ def residual(clauses, assignment: Mapping[int, bool]) -> list[tuple[int, ...]]:
         work = survivors
 
 
+def bits(mask: int) -> list[int]:
+    """The set bits of a component mask, ascending: its variables, or its
+    listed clauses as positions in `listed_ids`."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def lowest(mask: int) -> int:
+    """A component's lowest variable."""
+    return (mask & -mask).bit_length() - 1
+
+
+def listed_ids(eng) -> list[int]:
+    """The `canon` index of each listed clause (three or more literals), in
+    the order of the bits of a component's clause mask."""
+    return [ci for ci, c in enumerate(eng.canon) if len(c) > 2]
+
+
+def root_component(eng) -> tuple[int, int]:
+    """Every variable and every listed clause, as `decompose` takes them with
+    mark 0."""
+    return (1 << eng.n_vars) - 1, (1 << len(listed_ids(eng))) - 1
+
+
 def with_unit(pair: PairFormula, lit: int) -> PairFormula:
     """The pair with the unit clause `lit` added to its completion: counting
     it counts the answer sets in which the non-copy literal `lit` is true."""

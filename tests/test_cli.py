@@ -311,6 +311,20 @@ def test_budget_exhaustion_exit_code(tmp_path, capsys):
     assert doc["answer_count"] == "exceeded"
 
 
+@pytest.mark.parametrize("mode", [["count"], ["enumerate", "--limit", "10"]])
+def test_budget_bounds_count_and_enumerate(mode, example1, capsys):
+    # a zero budget is exhausted before the search starts: exit 2, no count,
+    # and the report still written
+    code = run([*mode, example1, "--budget", "0", "--stats", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    doc = json.loads(captured.err.splitlines()[0])
+    assert set(doc) == REPORT_KEYS
+    assert doc["mode"] == mode[0] and doc["answer_count"] == "exceeded"
+    assert captured.err.splitlines()[1] == "time budget exhausted"
+
+
 def test_zero_cache_limit_exits_at_first_stored_component(tmp_path, capsys):
     # the one variable of the negation pair is a free singleton, valued
     # before the cache, so a 0 MB cap is never met

@@ -33,10 +33,14 @@ from aspcount.encode import PairFormula, VarTable
 from aspcount.program import Constraint, Program, Rule, SymbolTable
 
 from helpers import (
+    bits,
     branching_program,
     graph_reach_count,
+    listed_ids,
+    lowest,
     path_text,
     random_program,
+    root_component,
     with_unit,
 )
 
@@ -183,7 +187,7 @@ def test_cache_key_determines_residual(program):
     residual_of = {}
 
     def check(comp):
-        residual = _residual(eng, comp.vars)
+        residual = _residual(eng, bits(comp[0]))
         assert residual_of.setdefault(comp, residual) == residual
 
     with _recording_cache(check) as (looked, _):
@@ -201,8 +205,8 @@ def _assert_cache_holds_only_searched(pair):
     with _recording_cache() as (looked, stored):
         stats = Engine(pair).count()[1]
     assert (len(looked), len(stored)) == (stats.cache_lookups, stats.cache_entries)
-    for comp in looked + stored:
-        assert len(comp.vars) > 1 and comp.vars[0] < pair.vars.first_copy
+    for vs, _ in looked + stored:
+        assert vs.bit_count() > 1 and lowest(vs) < pair.vars.first_copy
     return stats
 
 
@@ -232,8 +236,8 @@ def _recording_components():
     comps = []
     real = Engine.decompose
 
-    def decompose(self, variables):
-        found = real(self, variables)
+    def decompose(self, comp, mark):
+        found = real(self, comp, mark)
         comps.extend(found)
         return found
 
@@ -251,7 +255,7 @@ def _assert_no_copy_singleton(pair):
     with _recording_components() as comps:
         n = Engine(pair).count()[0]
         assert Engine(pair, use_cache=False).count()[0] == n
-    singles = [comp.vars[0] for comp in comps if len(comp.vars) == 1]
+    singles = [lowest(vs) for vs, _ in comps if vs.bit_count() == 1]
     assert all(v < pair.vars.first_copy for v in singles)
     return len(singles)
 
@@ -302,7 +306,7 @@ def test_unfounded_check_agrees_with_the_oracle():
             assert Engine(pair).hybrid(3)[0] == n
         if program.n_atoms <= 12:
             assert n == brute_force_count(program)
-        copy_first += sum(comp.vars[0] >= pair.vars.first_copy for comp in comps)
+        copy_first += sum(lowest(vs) >= pair.vars.first_copy for vs, _ in comps)
         derived += stats.unfounded > 0
     assert copy_first == 0
     assert derived >= 50  # the check derived literals, not only conflicts
@@ -572,15 +576,15 @@ def _full_clauses(eng, c):
     """A component's clause ids with its binary clauses made explicit: its
     listed ids plus every binary clause over two of its variables,
     ascending."""
-    owned = set(c.vars)
-    for ci in c.clause_idxs:  # listed: three or more literals
-        assert len(eng.canon[ci]) > 2
+    owned = set(bits(c[0]))
+    ids = listed_ids(eng)
+    listed = [ids[k] for k in bits(c[1])]  # three or more literals
     binary = [
         ci
         for ci, cl in enumerate(eng.canon)
         if len(cl) == 2 and {abs(l) - 1 for l in cl} <= owned
     ]
-    return sorted([*c.clause_idxs, *binary])
+    return sorted([*listed, *binary])
 
 
 def _check_partition(eng, variables, clause_idxs, comps):
@@ -590,20 +594,20 @@ def _check_partition(eng, variables, clause_idxs, comps):
         ci for ci in clause_idxs if not any(value[n + l] == 1 for l in eng.canon[ci])
     ]
     full = [_full_clauses(eng, c) for c in comps]
-    assert sorted(v for c in comps for v in c.vars) == unassigned
+    assert sorted(v for vs, _ in comps for v in bits(vs)) == unassigned
     assert sorted(ci for cids in full for ci in cids) == unsatisfied
-    assert [c.vars[0] for c in comps] == sorted(c.vars[0] for c in comps)
+    assert [lowest(vs) for vs, _ in comps] == sorted(lowest(vs) for vs, _ in comps)
     for c, cids in zip(comps, full):
-        assert list(c.vars) == sorted(c.vars)
-        assert list(c.clause_idxs) == sorted(c.clause_idxs)
+        # each clause bit names a listed clause
+        assert 0 <= c[1] < 1 << len(listed_ids(eng))
         # the key's soundness: every literal of a component clause is over
         # the component's variables or assigned false
-        owned = set(c.vars)
+        owned = set(bits(c[0]))
         for ci in cids:
             for l in eng.canon[ci]:
                 assert abs(l) - 1 in owned or value[n + l] == 0
         # and the component is connected through its clauses
-        reached = {c.vars[0]}
+        reached = {lowest(c[0])}
         grew = True
         while grew:
             grew = False
@@ -637,19 +641,20 @@ def _splits(eng):
     """(variables, full clause ids, decompose's components) for the whole
     formula, then one level down: after branching on decide's pick in the
     component with the most clauses."""
-    comps = eng.decompose(range(eng.n_vars))
+    comps = eng.decompose(root_component(eng), 0)
     yield range(eng.n_vars), range(len(eng.canon)), comps
     parent = max(
-        (c for c in comps if c.vars[0] < eng.first_copy),  # decide needs a non-copy
+        (c for c in comps if lowest(c[0]) < eng.first_copy),  # decide needs a non-copy
         key=lambda c: len(_full_clauses(eng, c)),
         default=None,
     )
     if parent is None or not _full_clauses(eng, parent):
         return
     v = eng.decide(parent)
+    mark = len(eng.trail)
     eng.assign(v + 1)
     if eng.propagate() is None:
-        yield parent.vars, _full_clauses(eng, parent), eng.decompose(parent.vars)
+        yield bits(parent[0]), _full_clauses(eng, parent), eng.decompose(parent, mark)
 
 
 @settings(max_examples=40, deadline=None)
@@ -662,6 +667,52 @@ def test_decompose_partitions_parent(program, picks, phase):
         _check_partition(eng, variables, clause_idxs, comps)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_trail_masks_match_the_assignment(seed, use_cache):
+    """At every `decompose` of a count, the branch's masks that it derives
+    from its parent's and the trail, read off as the union of the components
+    it returns, equal those recomputed from `lit_value`: the parent's
+    variables now unassigned, and its listed clauses now unsatisfied."""
+    program = branching_program(random.Random(seed))
+    eng = Engine(build_pair(program), use_cache=use_cache)
+    ids = listed_ids(eng)
+    n = eng.n_vars
+    real = Engine.decompose
+    calls = []
+
+    def decompose(self, comp, mark):
+        found = real(self, comp, mark)
+        value = self.lit_value  # each count resets it
+        want_vars = sum(1 << v for v in bits(comp[0]) if value[n + v + 1] == -1)
+        want_clauses = sum(
+            1 << k for k in bits(comp[1]) if not any(value[n + l] == 1 for l in eng.canon[ids[k]])
+        )
+        got_vars = got_clauses = 0
+        for vs, cs in found:
+            assert not (got_vars & vs or got_clauses & cs)  # disjoint
+            got_vars |= vs
+            got_clauses |= cs
+        assert (got_vars, got_clauses) == (want_vars, want_clauses)
+        calls.append(mark)
+        return found
+
+    Engine.decompose = decompose
+    try:
+        got = eng.count()[0]
+    finally:
+        Engine.decompose = real
+    assert got == brute_force_count(program)
+    assert calls and calls[0] == 0  # the root, then one per open branch
+
+
+def test_path_3000_counts_past_64_bit_masks():
+    # masks of 3 000 variables; the decision count pins the search itself
+    n, stats = Engine(build_pair(parse_program(path_text(3000)))).count()
+    assert n == _fibonacci(3002)
+    assert stats.decisions == 10_012
+
+
 @settings(max_examples=40, deadline=None)
 @given(block_programs(), st.lists(st.integers(0, 99), max_size=12), st.booleans())
 def test_decide_picks_highest_recount(program, picks, phase):
@@ -670,12 +721,13 @@ def test_decide_picks_highest_recount(program, picks, phase):
         return
     for _, _, comps in _splits(eng):
         # decide is handed only components with a free non-copy variable
-        for c in (c for c in comps if c.vars[0] < eng.first_copy):
+        ids = listed_ids(eng)
+        for c in (c for c in comps if lowest(c[0]) < eng.first_copy):
             # literals of each free non-copy variable in the listed clauses
-            free = [v for v in c.vars if v < eng.first_copy]
+            free = [v for v in bits(c[0]) if v < eng.first_copy]
             recount = dict.fromkeys(free, 0)
-            for ci in c.clause_idxs:
-                for l in eng.canon[ci]:
+            for k in bits(c[1]):
+                for l in eng.canon[ids[k]]:
                     if abs(l) - 1 in recount:
                         recount[abs(l) - 1] += 1
             v = eng.decide(c)
@@ -710,7 +762,7 @@ def test_any_branching_choice_counts_exactly(monkeypatch):
     pick = random.Random(5)
     monkeypatch.setattr(
         Engine, "decide", lambda self, comp: pick.choice(
-            [v for v in comp.vars if v < self.first_copy])
+            [v for v in bits(comp[0]) if v < self.first_copy])
     )
     rng = random.Random(2718)
     for _ in range(600):
