@@ -64,44 +64,45 @@ def build_dep_graph(program: Program) -> DepGraph:
 def compute_loop_atoms(graph: DepGraph) -> LoopInfo:
     """Atoms on some directed cycle: SCC of size >= 2, or a self-edge.
 
-    SCCs by Kosaraju's two traversals, both iterative and linear in nodes
-    plus edges: a DFS that lists the nodes by finishing time, then searches
-    over the reversed edges, latest-finished node first, each of which
-    collects the unclaimed nodes of one SCC."""
-    n = graph.n_nodes
-    succ: list[list[AtomId]] = [[] for _ in range(n)]
-    pred: list[list[AtomId]] = [[] for _ in range(n)]
+    SCCs by Kosaraju's two traversals, both iterative and linear in edges:
+    a DFS that lists the nodes by finishing time, then searches over the
+    reversed edges, latest-finished node first, each of which collects the
+    unclaimed nodes of one SCC. An atom with no edge is an SCC of its own
+    and on no cycle, so neither traversal visits it: a program with no
+    positive body costs nothing here."""
+    succ: dict[AtomId, list[AtomId]] = {}
+    pred: dict[AtomId, list[AtomId]] = {}
     for u, v in graph.edges:
-        succ[u].append(v)
-        pred[v].append(u)
+        succ.setdefault(u, []).append(v)
+        pred.setdefault(v, []).append(u)
     finished: list[AtomId] = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
+    seen = set()
+    for root in succ:  # every node with an edge is a root or reached from one
+        if root in seen:
             continue
-        seen[root] = True
+        seen.add(root)
         stack = [(root, iter(succ[root]))]
         while stack:
             v, rest = stack[-1]
             for w in rest:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, iter(succ[w])))
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, iter(succ.get(w, ()))))
                     break
             else:
                 stack.pop()
                 finished.append(v)
-    claimed = [False] * n
+    claimed = set()
     loop = {v for v, w in graph.edges if v == w}
     for root in reversed(finished):
-        if claimed[root]:
+        if root in claimed:
             continue
-        claimed[root] = True
+        claimed.add(root)
         members = [root]
         for v in members:  # grows while the search reaches new nodes
-            for u in pred[v]:
-                if not claimed[u]:
-                    claimed[u] = True
+            for u in pred.get(v, ()):
+                if u not in claimed:
+                    claimed.add(u)
                     members.append(u)
         if len(members) > 1:
             loop.update(members)

@@ -14,12 +14,13 @@ one. Variables come in three contiguous blocks, in this order (see
 
   original  one per class of equivalent atom literals; atom a is the
             literal `lit_of_atom[a]`, positive for the class's smallest atom
-  aux       one per distinct set of >= 2 body literals, read through the
-            atom map and without its fixed literals, with no pair l, -l and
-            no fixed-false literal, that a head not fixed false, without a
-            fact, has beside another set (full biconditional, so the model
-            count of the completion over all variables equals the count
-            over atoms)
+  aux       one per distinct set of >= 2 literals that stands for a
+            disjunct of a head's completion (see `clark_completion`): a body
+            of a head with another body, read through the atom map and
+            without its fixed literals, or, when the head's bodies share
+            literals that the completion factors out, the rest of such a
+            body (full biconditional, so the model count of the completion
+            over all variables equals the count over atoms)
   copy      one fresh variable per loop atom
 
 The fixed literals are those the encoding has units for by itself: the
@@ -143,14 +144,20 @@ def clark_completion(program: Program) -> tuple[list[tuple[int, ...]], VarTable,
     literal is fixed, is read without its fixed-true literals; a set holding
     a fixed-false one drops out, and that set decides every case. Per head
     h: h fixed false gives -set per set (no set may hold); an empty set
-    gives the unit h; otherwise h <-> (d_1 | ... | d_k), the unit -h when
-    no set is left, where d_i is the set's lone literal, h itself when the
-    set is h's only one, or else the set's BODY_AUX with d_i <-> set, shared
-    by every head with an equal set; with h fixed true, a clause holding h
-    is not emitted and one holding -h loses it. Each integrity constraint
-    contributes its one clause, folded the same way. The completion entails
-    a <-> L[a], so a contradictory set is false in every model, equal sets
-    are equivalent, and an auxiliary is a function of the originals.
+    gives the unit h. A head h not fixed whose sets S_1..S_k, k >= 2, share
+    a non-empty set C of literals, none of them equal to C and none holding
+    h or -h, is factored: h <-> C & (d_1 | ... | d_k), as the clauses -h | c
+    per c in C, -h | d_1 | ... | d_k and h | -C | -d_i per i, where d_i
+    stands for the rest R_i = S_i - C. Every other head gets
+    h <-> (d_1 | ... | d_k), the unit -h when no set is left, where d_i
+    stands for S_i, or is h itself when S_i has two or more literals and is
+    h's only set; with h fixed true, a clause holding h is not emitted and
+    one holding -h loses it. A disjunct that stands for a set is its lone
+    literal, or else its BODY_AUX with d_i <-> set, shared by every head
+    with an equal set or rest. Each integrity constraint contributes its one
+    clause, folded the same way. The completion entails a <-> L[a], so a
+    contradictory set is false in every model, equal sets are equivalent,
+    and an auxiliary is a function of the originals.
     """
     by_head: dict[AtomId, dict[tuple[frozenset, frozenset], None]] = {}
     for r in program.rules:
@@ -209,13 +216,22 @@ def clark_completion(program: Program) -> tuple[list[tuple[int, ...]], VarTable,
                 add((h,))
             continue
         fixed = h in true  # then no clause that holds h goes out, nor -h
+        # C, the literals every set holds, when h is factored, else empty
+        common = frozenset.intersection(*sets) if len(sets) > 1 and not fixed else frozenset()
+        if common and (common in sets or not {h, -h}.isdisjoint(chain.from_iterable(sets))):
+            common = frozenset()
+        for c in sorted(common, key=abs):
+            add(_pair(-h, c))
         disjuncts = []
         for key, (p, n) in sets.items():
+            if common:
+                key = key - common
             if len(key) == 1:
                 (d,) = key
             else:
                 # the clauses -d | l go out in the order of the body's
                 # positive atoms, then its negative ones, less the fixed-true
+                # and the shared ones
                 lits = [lit[a] for a in sorted(p)] + [-lit[a] for a in sorted(n)]
                 lits = [l for l in lits if l in key]
                 if len(sets) == 1:  # h <-> the set: -h | l per l, h | -set
@@ -239,7 +255,10 @@ def clark_completion(program: Program) -> tuple[list[tuple[int, ...]], VarTable,
             clause = _clause([-h, *disjuncts], true, false)
             if clause is not None:
                 add(clause)
-        if not fixed:
+        if common:
+            for d in disjuncts:
+                add(tuple(sorted([h, -d, *map(neg, common)], key=abs)))
+        elif not fixed:
             for d in disjuncts:
                 if d != h:
                     add(_pair(-d, h))

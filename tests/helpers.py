@@ -184,6 +184,67 @@ def branching_program(rng: random.Random, max_atoms=12) -> Program:
     return Program(table, rules, constraints)
 
 
+def guarded_program(rng: random.Random) -> Program:
+    """Small random program whose derived heads have 2-4 bodies sharing 1-2
+    guard literals, so that the completion factors many of them: 3 even
+    negation pairs x_i/y_i (choices), then 2-3 derived atoms d_j. A guard is
+    a choice literal, positive or negative, spelled per body through either
+    atom of its pair (x_i and `not y_i` are one literal through the atom
+    map). Each body adds 1-2 atoms outside the guard's pairs, other than its
+    head, a choice one negated now and then; one in fifteen adds nothing and
+    equals the guard, and one in fifteen adds only `not h`, its own head.
+    Some draws add a fact f to every body of one head, which folds out of
+    its guard, and some fix a derived head by a fact, `:- d.` or `:- not d.`.
+    At most 10 atoms, for the oracle."""
+    table = SymbolTable()
+    k = 3
+    xs = [table.intern(f"x{i}") for i in range(k)]
+    ys = [table.intern(f"y{i}") for i in range(k)]
+    derived = [table.intern(f"d{j}") for j in range(rng.randint(2, 3))]
+    none = frozenset()
+    rules = []
+    for x, y in zip(xs, ys):
+        rules += [Rule(x, none, frozenset({y})), Rule(y, none, frozenset({x}))]
+    folded = None
+    if rng.random() < 0.15:
+        f = table.intern("f")
+        rules.append(Rule(f, none, none))
+        folded = rng.choice(derived)
+    for h in derived:
+        guard = [(i, rng.random() < 0.5) for i in rng.sample(range(k), rng.randint(1, 2))]
+        others = [a for i in set(range(k)) - {i for i, _ in guard} for a in (xs[i], ys[i])]
+        others += [d for d in derived if d != h]
+        for _ in range(rng.randint(2, 4)):
+            pos, neg = set(), set()
+            for i, positive in guard:  # x_i as x_i or not y_i, -x_i as y_i or not x_i
+                a, b = (xs[i], ys[i]) if positive else (ys[i], xs[i])
+                if rng.random() < 0.5:
+                    pos.add(a)
+                else:
+                    neg.add(b)
+            if h == folded:
+                pos.add(f)
+            rest = rng.random()
+            if rest < 1 / 15:  # nothing: the body is the guard
+                pass
+            elif rest < 2 / 15:  # not h alone, which keeps h from being factored
+                neg.add(h)
+            else:
+                for a in rng.sample(others, rng.randint(1, 2)):
+                    (neg if a not in derived and rng.random() < 0.25 else pos).add(a)
+            rules.append(Rule(h, frozenset(pos), frozenset(neg)))
+    constraints = []
+    if rng.random() < 0.3:
+        h = rng.choice(derived)
+        kind = rng.randrange(3)
+        if kind == 0:
+            rules.append(Rule(h, none, none))
+        else:
+            atom = frozenset({h})
+            constraints.append(Constraint(atom, none) if kind == 1 else Constraint(none, atom))
+    return Program(table, rules, constraints)
+
+
 def disjoint_union(p1: Program, p2: Program) -> Program:
     """Union with atoms renamed apart (prefixes q1_/q2_)."""
     table = SymbolTable()

@@ -546,10 +546,10 @@ COUNTER_PINS = [
     ("path", "count", (267914296, 108, 87, 85, 31, 54, 9885, "")),
     ("path", "hybrid", (267914296, 200121, 61903, 85, 31, 54, 9885, "counting")),
     ("path", "enumerate_up_to(7)", (None, 32, 22, 0, 0, 0, 0, "")),
-    ("reach", "count", (320, 86, 325, 57, 14, 43, 8197, "")),
-    ("reach", "hybrid", (320, 1054, 2863, 0, 0, 0, 0, "enumeration")),
-    ("reach", "enumerate_up_to(7)", (None, 21, 93, 0, 0, 0, 0, "")),
-    ("reach", "count, use_cache=False", (320, 118, 424, 0, 0, 0, 0, "")),
+    ("reach", "count", (320, 76, 300, 52, 14, 38, 7234, "")),
+    ("reach", "hybrid", (320, 1054, 2842, 0, 0, 0, 0, "enumeration")),
+    ("reach", "enumerate_up_to(7)", (None, 21, 91, 0, 0, 0, 0, "")),
+    ("reach", "count, use_cache=False", (320, 104, 384, 0, 0, 0, 0, "")),
     ("ham", "count", (48, 296, 2117, 148, 0, 148, 28862, "")),
     ("ham", "hybrid", (48, 366, 2455, 0, 0, 0, 0, "enumeration")),
     ("ham", "enumerate_up_to(7)", (None, 78, 535, 0, 0, 0, 0, "")),
