@@ -14,13 +14,14 @@ one. Variables come in three contiguous blocks, in this order (see
 
   original  one per class of equivalent atom literals; atom a is the
             literal `lit_of_atom[a]`, positive for the class's smallest atom
-  aux       one per distinct set of >= 2 literals that stands for a
-            disjunct of a head's completion (see `clark_completion`): a body
-            of a head with another body, read through the atom map and
-            without its fixed literals, or, when the head's bodies share
-            literals that the completion factors out, the rest of such a
-            body (full biconditional, so the model count of the completion
-            over all variables equals the count over atoms)
+  aux       one per distinct rest R_i of >= 2 literals, which stands
+            for a disjunct d_i of h <-> C & (R_1 | ... | R_k), the one
+            completion rule of each head (see `clark_completion`): a body
+            of the head, read through the atom map and without its fixed
+            literals, less the literals C that the rule takes out of every
+            body (all of them when the head has one body), full
+            biconditional, so the model count of the completion over all
+            variables equals the count over atoms
   copy      one fresh variable per loop atom
 
 The fixed literals are those the encoding has units for by itself: the
@@ -142,22 +143,23 @@ def clark_completion(program: Program) -> tuple[list[tuple[int, ...]], VarTable,
     constraint; their units go out first, or the empty clause alone when
     two of them contradict. Then every set, on one path whether or not a
     literal is fixed, is read without its fixed-true literals; a set holding
-    a fixed-false one drops out, and that set decides every case. Per head
-    h: h fixed false gives -set per set (no set may hold); an empty set
-    gives the unit h. A head h not fixed whose sets S_1..S_k, k >= 2, share
-    a non-empty set C of literals, none of them equal to C and none holding
-    h or -h, is factored: h <-> C & (d_1 | ... | d_k), as the clauses -h | c
-    per c in C, -h | d_1 | ... | d_k and h | -C | -d_i per i, where d_i
-    stands for the rest R_i = S_i - C. Every other head gets
-    h <-> (d_1 | ... | d_k), the unit -h when no set is left, where d_i
-    stands for S_i, or is h itself when S_i has two or more literals and is
-    h's only set; with h fixed true, a clause holding h is not emitted and
-    one holding -h loses it. A disjunct that stands for a set is its lone
-    literal, or else its BODY_AUX with d_i <-> set, shared by every head
-    with an equal set or rest. Each integrity constraint contributes its one
-    clause, folded the same way. The completion entails a <-> L[a], so a
-    contradictory set is false in every model, equal sets are equivalent,
-    and an auxiliary is a function of the originals.
+    a fixed-false one drops out, and the sets S_1..S_k left decide every
+    case. Per head h: h fixed false gives -S_i per set (no set may hold); an
+    empty set gives the unit h. Every other head gets one rule,
+    h <-> C & (R_1 | ... | R_k) with R_i = S_i - C. C is S_1 when k = 1;
+    for k >= 2 it is the literals every set holds, if h is not fixed, none
+    of its sets equals them and none holds h or -h, and else empty. d_i
+    stands for R_i: its lone literal, or else its auxiliary with
+    d_i <-> R_i, shared by every head with an equal rest, and an empty R_i
+    is true. The clauses are -h | c per c in C, -h | d_1 | ... | d_k unless
+    some R_i is empty (the unit -h when no set is left) and h | -C | -d_i
+    per i (h | -C for an empty R_i); none holding h and -h goes out, and
+    with h fixed true no clause holding h does and -h is dropped from the
+    others. An auxiliary's clauses -d_i | l go out in the order of l's
+    variables, as the clauses -h | c do. Each integrity constraint
+    contributes its one clause, folded the same way. The completion entails
+    a <-> L[a], so a contradictory set is false in every model, equal sets
+    are equivalent, and an auxiliary is a function of the originals.
     """
     by_head: dict[AtomId, dict[tuple[frozenset, frozenset], None]] = {}
     for r in program.rules:
@@ -174,12 +176,11 @@ def clark_completion(program: Program) -> tuple[list[tuple[int, ...]], VarTable,
     for atom, h in enumerate(lit):
         if atom in merged:  # its only set is {h}, which gives only tautologies
             continue
-        sets: dict[frozenset[int], tuple[frozenset, frozenset]] = {}
-        for body in by_head.get(atom, ()):
-            p, n = body
+        sets: dict[frozenset[int], None] = {}  # an ordered set
+        for p, n in by_head.get(atom, ()):
             key = frozenset([*map(get, p), *map(neg, map(get, n))]) if n else frozenset(map(get, p))
             if len(key) < 2 or key.isdisjoint(map(neg, key)):
-                sets.setdefault(key, body)
+                sets[key] = None
         if frozenset() in sets:
             true.add(h)
         elif not sets:
@@ -202,11 +203,7 @@ def clark_completion(program: Program) -> tuple[list[tuple[int, ...]], VarTable,
     touched = true | false
     for h, sets in heads:
         if not touched.isdisjoint(chain.from_iterable(sets)):
-            folded = {}
-            for key, body in sets.items():
-                if key.isdisjoint(false):
-                    folded.setdefault(key - true, body)
-            sets = folded
+            sets = dict.fromkeys(key - true for key in sets if key.isdisjoint(false))
         if h in false:  # no set may hold
             for key in sets:
                 add(tuple(sorted(map(neg, key), key=abs)))
@@ -215,53 +212,43 @@ def clark_completion(program: Program) -> tuple[list[tuple[int, ...]], VarTable,
             if h not in true:
                 add((h,))
             continue
-        fixed = h in true  # then no clause that holds h goes out, nor -h
-        # C, the literals every set holds, when h is factored, else empty
-        common = frozenset.intersection(*sets) if len(sets) > 1 and not fixed else frozenset()
-        if common and (common in sets or not {h, -h}.isdisjoint(chain.from_iterable(sets))):
-            common = frozenset()
+        fixed = h in true
+        # C: the one set, or the literals every set holds when h is factored
+        if len(sets) == 1:
+            (common,) = sets
+        else:
+            common = frozenset.intersection(*sets) if sets and not fixed else frozenset()
+            if common and (common in sets or not {h, -h}.isdisjoint(chain.from_iterable(sets))):
+                common = frozenset()
         for c in sorted(common, key=abs):
-            add(_pair(-h, c))
-        disjuncts = []
-        for key, (p, n) in sets.items():
-            if common:
-                key = key - common
-            if len(key) == 1:
-                (d,) = key
-            else:
-                # the clauses -d | l go out in the order of the body's
-                # positive atoms, then its negative ones, less the fixed-true
-                # and the shared ones
-                lits = [lit[a] for a in sorted(p)] + [-lit[a] for a in sorted(n)]
-                lits = [l for l in lits if l in key]
-                if len(sets) == 1:  # h <-> the set: -h | l per l, h | -set
-                    d = h
+            clause = (c,) if fixed else _pair(-h, c)
+            if clause is not None:
+                add(clause)
+        disjuncts = []  # d_i per rest R_i, None for an empty one
+        for key in sets:
+            rest = key - common if common else key
+            if len(rest) == 1:
+                (d,) = rest
+            elif rest:  # the next id, unless an earlier head defined this set
+                n_aux = len(aux_of_body)
+                d = pos_lit(aux_of_body.setdefault(rest, table.n_original + n_aux))
+                if len(aux_of_body) > n_aux:  # d is above every literal of the set
+                    lits = sorted(rest, key=abs)
                     for l in lits:
-                        if l != h:
-                            add((l,) if fixed else _pair(-h, l))
-                    if h not in key and not fixed:
-                        add(tuple(sorted({h, *map(neg, key)}, key=abs)))
-                else:  # the next id, unless an earlier head defined this set
-                    n_aux = len(aux_of_body)
-                    d = pos_lit(aux_of_body.setdefault(key, table.n_original + n_aux))
-                    if len(aux_of_body) > n_aux:  # d is above every literal of the set
-                        for l in lits:
-                            add((l, -d))
-                        add(tuple(sorted(map(neg, key), key=abs)) + (d,))
+                        add((l, -d))
+                    add((*map(neg, lits), d))
+            else:
+                d = None
             disjuncts.append(d)
-        # a disjunct h, from the set {h} or naming h's only set, makes this
-        # clause a tautology, as it makes -h | h
-        if h not in disjuncts:
+        if None not in disjuncts:  # else the disjunction holds
             clause = _clause([-h, *disjuncts], true, false)
             if clause is not None:
                 add(clause)
-        if common:
-            for d in disjuncts:
-                add(tuple(sorted([h, -d, *map(neg, common)], key=abs)))
-        elif not fixed:
-            for d in disjuncts:
-                if d != h:
-                    add(_pair(-d, h))
+        if not fixed:
+            for d in disjuncts:  # h | -C | -d_i, or h | -C for the empty rest
+                lits = {h, *map(neg, common)} if d is None else {h, -d, *map(neg, common)}
+                if -h not in lits:  # no set holds l and -l, so only h can meet -h
+                    add(tuple(sorted(lits, key=abs)))
 
     for clause in constraints:
         if not touched.isdisjoint(clause):

@@ -53,12 +53,13 @@ atom's literal L[a] is false:
        the trail made false while L[a] is not. A rule clause -a' | ... | z'
        propagated it, with z' false before it, so L[z] is false, and every
        other literal of that rule's body true; the completion then
-       propagates L[a] false. When z is a factored head (see
-       `encode.clark_completion`) that takes two steps, L[z] | -C | -d_i
-       and the definition of d_i, which stands for the body's rest R_i:
-       the first makes d_i false and the second L[a] when L[a] is in R_i,
-       the second makes d_i true and the first L[a] when L[a] is in C (one
-       step when R_i is a lone literal).
+       propagates L[a] false through its clause L[z] | -C | -d_i for the
+       body's set C + R_i (see `encode.clark_completion`). When R_i is
+       empty or a lone literal, that clause holds L[z] and the negation of
+       every literal of the set, and makes L[a] false in one step. Else
+       d_i is R_i's auxiliary and it takes two: with L[a] in R_i, the
+       clause makes d_i false and then -R_i | d_i makes L[a] false; with
+       L[a] in C, -R_i | d_i makes d_i true and then the clause L[a] false.
   (ii) if L[a] is false, -a' | L[a] propagates a' false; when L[a] is a
        fixed literal (see `encode`), that clause is the unit -a' if L[a] is
        fixed false, and there is none if it is fixed true, as L[a] is then

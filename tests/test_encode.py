@@ -142,6 +142,15 @@ def test_equal_literal_bodies_share_one_auxiliary():
     assert list(pair.vars.aux_of_body) == [frozenset({x, y})]
     assert pair.n_vars == 6  # p, q, x, y, z and the one auxiliary
     assert Engine(pair).count()[0] == brute_force_count(p) == 8
+    # an auxiliary's clauses -d | l go out in the order of l's variables,
+    # not of the body: -a before b
+    p = parse_program(_choices("abc") + "h :- b, not a.\nh :- c.\n")
+    pair = build_pair(p)
+    a, b = _lits(p, pair, "ab")
+    d = pos_lit(pair.vars.aux_of_body[frozenset({b, -a})])
+    assert (a, b, d) == (1, 2, 5)
+    assert "\n-1 -5 0\n2 -5 0\n1 -2 5 0\n" in emit_dimacs(pair)
+    assert Engine(pair).count()[0] == brute_force_count(p) == 8
 
 
 def test_tight_program_has_no_copy_clauses():
@@ -298,6 +307,18 @@ def test_shared_guard_is_factored_out():
     ]
     assert _counts(pair, 16) == (8, 8, 8, 8)
     assert brute_force_count(p) == 8
+    # one body is C itself, with an empty rest: h <-> u & p
+    p = parse_program(GUARD_TEXT + "h :- u, p.")
+    pair = build_pair(p)
+    u, pp, h = _lits(p, pair, ["u", "p", "h"])
+    assert pair.completion == [_clause(-h, u), _clause(-h, pp), _clause(h, -u, -pp)]
+    assert _counts(pair, 16) == (8, 8, 8, 8) and brute_force_count(p) == 8
+    # a C that holds -h: -h | -h is the unit -h, and h | -u | h is h | -u
+    p = parse_program("u :- not w. w :- not u. h :- u, not h.")
+    pair = build_pair(p)
+    u, h = _lits(p, pair, ["u", "h"])
+    assert pair.completion == [_clause(-h, u), (-h,), _clause(h, -u)]
+    assert _counts(pair, 4) == (1, 1, 1, 1) and brute_force_count(p) == 1
 
 
 def test_set_equal_to_the_guard_or_fixed_head_is_not_factored():
@@ -323,6 +344,12 @@ def test_set_equal_to_the_guard_or_fixed_head_is_not_factored():
         _clause(u, -b), _clause(s, -b), _clause(-u, -s, b), _clause(a, b),
     ]
     assert _counts(pair, 16) == (3, 3, 3, 3) and brute_force_count(p) == 3
+    # h fixed true with one body: -h | u and -h | p lose -h
+    p = parse_program(GUARD_TEXT + "h :- u, p. :- not h.")
+    pair = build_pair(p)
+    u, pp, h = _lits(p, pair, ["u", "p", "h"])
+    assert pair.completion == [(h,), (u,), (pp,)]
+    assert _counts(pair, 16) == (2, 2, 2, 2) and brute_force_count(p) == 2
 
 
 def _factored_heads(p: Program, pair) -> int:
