@@ -37,11 +37,16 @@ Sorensson, SAT 2003): `lit_value[lit + n_vars]` is 1 (true), 0 (false) or
 both polarities, so no literal test needs its variable or its sign.
 Propagation works on the same slots and needs no clause ids. Binary
 clauses, most of each encoding, are per-slot lists of implied slots, also as
-in sharpSAT; a clause of three or more literals is one mutable list of slots,
-its two watches in front, held by the watch lists of both. For each literal
-made false, `propagate` walks its implied slots first, then its watch list,
-and it reports a conflict as the literal it found false where a clause
-needed it true.
+in sharpSAT; a clause of three or more literals is one tuple of its slots,
+listed under every slot it holds. For each literal made false, `propagate`
+walks its implied slots first, then scans each clause listed under it up
+to a true slot or a second unassigned one. A scan that meets neither sets
+the clause's one unassigned slot true; with none, every slot is false, and
+`propagate` reports the conflict as the literal it found false where a
+clause needed it true. There are no watched literals (Moskewicz et al.,
+DAC 2001): in CPython, moving a watch costs more than the clause visits it
+saves. No clause is ever written, so backtracking undoes nothing but the
+assignment.
 
 Copy variables, the block from `first_copy` up (see `encode.VarTable`),
 are propagated but never decided, enumerated or assumed, so every copy on
@@ -191,23 +196,22 @@ class Engine:
         self._unit_lits = [c[0] for c in self.canon if len(c) == 1]
         # A literal l has the slot l + n_vars, in `lit_value` and here.
         # Indexed by the slot of a literal made false: the slot of the other
-        # literal of each binary clause holding it, and the long clauses
-        # (three or more literals) that watch it. A long clause is one
-        # mutable list of slots, watches in front (propagate swaps them),
-        # held by the watch lists of both its watches.
+        # literal of each binary clause holding it, and the clauses of three
+        # or more literals holding it. Such a clause is one tuple of its
+        # slots, listed under each of them and never written.
         implied: list[list[int]] = [[] for _ in range(2 * n + 1)]
-        watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
+        occurs: list[list[tuple[int, ...]]] = [[] for _ in range(2 * n + 1)]
         for c in self.canon:
             if len(c) == 2:
                 a, b = c
                 implied[a + n].append(b + n)
                 implied[b + n].append(a + n)
             elif len(c) > 2:
-                clause = [l + n for l in c]
-                watches[clause[0]].append(clause)
-                watches[clause[1]].append(clause)
+                clause = tuple([l + n for l in c])
+                for s in clause:
+                    occurs[s].append(clause)
         self.implied = implied
-        self.watches = watches
+        self.occurs = occurs
 
         self.use_cache = use_cache
         self.cache_limit_bytes = cache_limit_bytes
@@ -251,20 +255,21 @@ class Engine:
         literal found false where a clause needed it true.
 
         For each trail literal from `qhead` on, the slot of its negation is
-        visited: its implied slots first, then the clauses of three or more
-        literals watching it, whose other watch is moved to a literal not yet
-        false where one exists. The conflict literal is the implied literal
-        of a binary clause or the other watch of a long one, whose clause
+        visited: its implied slots first, then each clause of three or more
+        literals holding it, scanned until a true slot or a second unassigned
+        one. A scan that meets neither sets its one unassigned slot true, or,
+        with none, is a conflict. The conflict literal is the implied literal
+        of a binary clause or the first literal of a longer one, whose clause
         then has every literal false."""
         t0 = time.perf_counter()
         value = self.lit_value
         implied = self.implied
-        watches = self.watches
+        occurs = self.occurs
         trail = self.trail
+        start = len(trail)
         n = self.n_vars
         n2 = 2 * n  # slot of -lit is n2 minus the slot of lit
         qhead = self.qhead
-        found = 0
         conflict = 0  # none yet: 0 is no literal
         while qhead < len(trail):
             f = n - trail[qhead]  # the slot just made false
@@ -275,49 +280,30 @@ class Engine:
                     value[s] = 1
                     value[n2 - s] = 0
                     trail.append(s - n)
-                    found += 1
                 elif not x:
                     conflict = s - n
                     break
             if conflict:
                 break
-            wl = watches[f]
-            i = 0
-            end = len(wl)
-            while i < end:
-                clause = wl[i]
-                if clause[0] == f:
-                    clause[0] = clause[1]
-                    clause[1] = f
-                other = clause[0]
-                x = value[other]
-                if x == 1:
-                    i += 1
-                    continue
-                for j in range(2, len(clause)):
-                    s = clause[j]
-                    if value[s]:  # unassigned (-1) or true (1)
-                        clause[1] = s
-                        clause[j] = f
-                        end -= 1
-                        wl[i] = wl[end]
-                        wl.pop()
-                        watches[s].append(clause)
-                        break
+            for clause in occurs[f]:
+                unit = -1  # the one unassigned slot met, none yet
+                for s in clause:
+                    x = value[s]
+                    if x:
+                        if x == 1 or unit >= 0:
+                            break
+                        unit = s
                 else:
-                    if x:  # unassigned: the clause is unit
-                        value[other] = 1
-                        value[n2 - other] = 0
-                        trail.append(other - n)
-                        found += 1
-                        i += 1
-                    else:
-                        conflict = other - n
+                    if unit < 0:
+                        conflict = clause[0] - n
                         break
+                    value[unit] = 1
+                    value[n2 - unit] = 0
+                    trail.append(unit - n)
             if conflict:
                 break
         self.qhead = qhead
-        self.stats.propagations += found
+        self.stats.propagations += len(trail) - start
         self.stats.bcp_time += time.perf_counter() - t0
         return conflict or None
 

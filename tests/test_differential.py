@@ -474,8 +474,10 @@ def test_unreachable_target_counts_zero_without_deciding():
 def clause_sets(draw):
     """(variable count, clauses, assumption literals). The clauses mix
     units, binaries, tautological binaries (x or not x, which propagate
-    must take though build_pair makes none) and clauses of 3-4 literals,
-    drawn from a seeded rng so that assumptions often end in a conflict."""
+    must take though build_pair makes none) and clauses of 3-6 literals,
+    whose scans pass several false slots before a true or a second
+    unassigned one, drawn from a seeded rng so that assumptions often end
+    in a conflict."""
     n = draw(st.integers(3, 8))
     rng = random.Random(draw(st.integers(0, 2**32)))
 
@@ -489,7 +491,7 @@ def clause_sets(draw):
             v = rng.randint(1, n)
             clauses[-v, v] = None
         else:
-            size = {"u": 1, "b": 2, "l": rng.randint(3, 4)}[kind]
+            size = {"u": 1, "b": 2, "l": rng.randint(3, 6)}[kind]
             lits = {lit() for _ in range(size)}
             clauses[tuple(sorted(lits, key=lambda l: (abs(l), l > 0)))] = None
     return n, list(clauses), [lit() for _ in range(rng.randint(1, n))]
